@@ -20,10 +20,10 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .budget import Budget
-from .graphs import MultipartiteGraph
+from .graphs import ColourableSets, MultipartiteGraph
 from .lam import Lambda
 
 # explicit-group canonicalisation is meant for desk-scale instances
@@ -236,6 +236,14 @@ def trim_to_exact(
     return trimmed, ColourPartition(lam, new_classes)
 
 
+def _check_group(part_sizes: tuple[int, ...]) -> None:
+    order = math.prod(math.factorial(s) for s in part_sizes) * math.prod(
+        math.factorial(part_sizes.count(s)) for s in set(part_sizes)
+    )
+    if order > _GROUP_LIMIT:
+        raise ValueError(f"symmetry group too large ({order}) for explicit canonical forms")
+
+
 @lru_cache(maxsize=None)
 def vertex_group(part_sizes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Vertex permutations preserving the part structure.
@@ -243,6 +251,7 @@ def vertex_group(part_sizes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     Vertices may be permuted within a part and whole parts of equal size may
     swap.  Enumerated explicitly, so guarded against huge groups.
     """
+    _check_group(part_sizes)
     sizes = part_sizes
     k = len(sizes)
     n = sum(sizes)
@@ -254,11 +263,6 @@ def vertex_group(part_sizes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     by_size: dict[int, list[int]] = {}
     for i, s in enumerate(sizes):
         by_size.setdefault(s, []).append(i)
-    order = math.prod(math.factorial(s) for s in sizes) * math.prod(
-        math.factorial(len(v)) for v in by_size.values()
-    )
-    if order > _GROUP_LIMIT:
-        raise ValueError(f"symmetry group too large ({order}) for explicit canonical forms")
     size_items = sorted(by_size.items())
     perms: list[tuple[int, ...]] = []
     for targets_combo in product(*(permutations(idxs) for _, idxs in size_items)):
@@ -278,26 +282,7 @@ def vertex_group(part_sizes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(perms)
 
 
-def _remap_mask(mask: int, perm: tuple[int, ...]) -> int:
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << perm[low.bit_length() - 1]
-        mask ^= low
-    return out
-
-
 Blocks = tuple  # tuple[(quota, tuple[type mask, ...]), ...]
-
-
-def _encode_blocks(blocks: Blocks, perm: tuple[int, ...]) -> Blocks:
-    return tuple(
-        sorted(
-            ((k, tuple(sorted((_remap_mask(m, perm) for m in ms), reverse=True)))
-             for k, ms in blocks),
-            reverse=True,
-        )
-    )
 
 
 def _canonical_blocks(part_sizes: tuple[int, ...], blocks: Blocks) -> Blocks:
@@ -383,16 +368,18 @@ class AssignmentEnumerator:
     once in its maximal encoding.  A finished assignment is yielded only when
     its encoding *is* the orbit maximum, hence exactly once per orbit.
 
-    With ``prune_colourable`` set (a predicate on the tuple of partial list
-    masks), subtrees whose partial lists already admit a proper colouring are
-    skipped: completions only add colours, so everything below stays
-    colourable.  Leaves that are themselves colourable are suppressed too,
-    which turns the stream into the stream of counterexample orbits.  A
-    non-colourable assignment keeps every prefix non-colourable, so no
-    counterexample orbit is ever lost to this pruning.
+    With ``prune_colourable`` set, subtrees whose partial lists already admit
+    a proper colouring are skipped: completions only add colours, so
+    everything below stays colourable.  Leaves that are themselves colourable
+    are suppressed too, which turns the stream into the stream of
+    counterexample orbits.  A non-colourable assignment keeps every prefix
+    non-colourable, so no counterexample orbit is ever lost to this pruning.
+    Each test reads one bit of a ``ColourableSets`` family; the walk keeps a
+    stack of them, one update per placed colour, so no solver runs.
 
     ``truncated`` reports whether the budget cut the walk short;
-    ``orbits_seen`` counts the canonical leaves reached.
+    ``orbits_seen`` counts the canonical leaves reached.  Shapes whose vertex
+    group is too large for the leaf canonical forms raise ValueError at once.
     """
 
     def __init__(
@@ -400,8 +387,9 @@ class AssignmentEnumerator:
         graph: MultipartiteGraph,
         lam: Lambda,
         budget: Budget | None = None,
-        prune_colourable: Callable[[tuple[int, ...]], bool] | None = None,
+        prune_colourable: bool = False,
     ):
+        _check_group(graph.part_sizes)
         self.graph = graph
         self.lam = lam
         self.budget = budget if budget is not None else Budget()
@@ -430,27 +418,19 @@ class AssignmentEnumerator:
         q = len(self._quotas)
         quotas = self._quotas
         part_sizes = G.part_sizes
-        prune = self.prune
         masks = [0] * n
         types: list[int] = []
         done: list[tuple[int, ...]] = []
-
-        def blocked() -> bool:
-            # colourability is monotone in the lists: a colourable partial
-            # can never complete to a counterexample
-            if prune is None:
-                return False
-            for m in masks:
-                if m == 0:
-                    return False
-            return prune(tuple(masks))
+        # families[-1]: the sets the placed colours can colour (EMPTY unpruned)
+        add = ColourableSets(G).add if self.prune else lambda family, s: family
+        families = [ColourableSets.EMPTY]
 
         def leaf():
             blocks = tuple((quotas[i], done[i]) for i in range(q))
             if _canonical_blocks(part_sizes, blocks) != blocks:
                 return
             self.orbits_seen += 1
-            if prune is not None and prune(tuple(masks)):
+            if families[-1] >> full & 1:
                 return
             yield self._build(masks, done)
 
@@ -468,7 +448,9 @@ class AssignmentEnumerator:
                     yield from begin_class(ci + 1)
                 done.pop()
                 return
-            if blocked():
+            # colourability is monotone in the lists: a colourable partial
+            # can never complete to a counterexample
+            if families[-1] >> full & 1:
                 return
             if tight and pos >= len(bound):
                 return  # equal prefix already used the whole bound
@@ -494,10 +476,12 @@ class AssignmentEnumerator:
                         ok = (1 << (new_mask.bit_length() - 1)) <= s
                     if ok:
                         types.append(s)
+                        families.append(add(families[-1], s))
                         yield from grow(
                             ci, start, rem, new_mask, s, bound, pos + 1,
                             tight and s == bound[pos],
                         )
+                        families.pop()
                         types.pop()
                     t = s
                     while t:

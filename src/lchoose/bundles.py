@@ -35,7 +35,7 @@ def k42_block_sizes(k: int) -> list[tuple[int, int, int]]:
     return [(s1, half - s1, half) for s1 in range(half + 1)]
 
 
-def bundle_phi2(seed: int = 0, threads: int = 1, budget_nodes: int | None = None) -> dict:
+def bundle_phi2(threads: int = 1, budget_nodes: int | None = None) -> dict:
     """Pin the smallest non-choosable shape for the single quota 2 at six
     vertices: both six-vertex exception shapes fail, everything smaller
     passes exhaustively."""
@@ -65,7 +65,7 @@ def bundle_phi2(seed: int = 0, threads: int = 1, budget_nodes: int | None = None
 _GRID = ((1, 0, 1), (1, 1, 1), (2, 0, 1))
 
 
-def bundle_lemma1_grid(seed: int = 0, threads: int = 1, budget_nodes: int | None = None) -> dict:
+def bundle_lemma1_grid(threads: int = 1, budget_nodes: int | None = None) -> dict:
     """Build and fully re-verify the upper-bound gadget on a small grid of
     quota shapes (ones, twos, threes)."""
     rows = []
@@ -103,7 +103,7 @@ def _parity_instances(k: int, threes_budget: int):
     return out, enum.truncated
 
 
-def bundle_parity_k4(seed: int = 0, threads: int = 1, budget_nodes: int | None = None) -> dict:
+def bundle_parity_k4(threads: int = 1, budget_nodes: int | None = None) -> dict:
     """Parity obstruction at total quota 4.
 
     Every instance of both families must be non-colourable, must admit no
@@ -158,7 +158,7 @@ def _oracle_tuples(target: int) -> list[FourTuple]:
     return out
 
 
-def bundle_tuple_audit(seed: int = 0, threads: int = 1, budget_nodes: int | None = None) -> dict:
+def bundle_tuple_audit(threads: int = 1, budget_nodes: int | None = None) -> dict:
     """Audit the peel machinery against brute force.
 
     Phase one: the cap-bounded tuple finder agrees with a from-scratch
@@ -234,9 +234,7 @@ BUNDLES = {
 }
 
 
-def run_bundle(
-    name: str, seed: int = 0, threads: int = 1, budget_nodes: int | None = None
-) -> dict:
+def run_bundle(name: str, threads: int = 1, budget_nodes: int | None = None) -> dict:
     if name not in BUNDLES:
         raise KeyError(name)
-    return BUNDLES[name](seed=seed, threads=threads, budget_nodes=budget_nodes)
+    return BUNDLES[name](threads=threads, budget_nodes=budget_nodes)

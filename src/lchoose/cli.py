@@ -181,9 +181,7 @@ def _cmd_verify(args) -> int:
         known = ", ".join(sorted(BUNDLES))
         print(f"unknown bundle {args.bundle!r}; known bundles: {known}", file=sys.stderr)
         return USAGE_ERROR
-    payload = run_bundle(
-        args.bundle, seed=args.seed, threads=args.threads, budget_nodes=args.budget_nodes
-    )
+    payload = run_bundle(args.bundle, threads=args.threads, budget_nodes=args.budget_nodes)
     payload = {"command": "verify", **payload}
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -223,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-g", "--graph", required=True)
     p.add_argument("-l", "--lambda", dest="lam", required=True)
     p.add_argument("--budget-nodes", type=int, default=None)
-    p.add_argument("--threads", type=int, default=_default_threads())
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("gen",
@@ -234,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named evidence bundle")
     p.add_argument("bundle", help="one of: " + ", ".join(sorted(BUNDLES)))
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=_default_threads())
     p.add_argument("--budget-nodes", type=int, default=None)
     p.add_argument("--out", default=None)

@@ -79,6 +79,41 @@ class MultipartiteGraph:
         return self.text()
 
 
+class ColourableSets:
+    """The vertex sets of ``graph`` that a growing pool of colours can colour.
+
+    A family is a 2**n-bit integer: bit W is set iff the vertex set W can be
+    properly coloured from the colours so far.  A colour serves one part
+    only, so ``add`` is exact as a zeta transform over each part's share of
+    the colour's type (Bjorklund, Husfeldt & Koivisto, SIAM J. Comput. 2009).
+    """
+
+    EMPTY = 1  # just the empty set
+
+    def __init__(self, graph: MultipartiteGraph):
+        n = graph.n
+        self.full = (1 << n) - 1
+        self._part_masks = tuple(((1 << len(p)) - 1) << p.start for p in graph.parts)
+        # without[v], the subsets missing v, by the 0x00FF -> 0x0F0F ladder
+        without = [(1 << (1 << (n - 1))) - 1]
+        for v in range(n - 1, 0, -1):
+            without.append(without[-1] ^ without[-1] << (1 << v >> 1))
+        self._without = tuple(reversed(without))
+
+    def add(self, family: int, type_mask: int) -> int:
+        """The family once a colour on the vertices of ``type_mask`` joins."""
+        out = family
+        for part in self._part_masks:
+            t = type_mask & part
+            g = family
+            while t:
+                low = t & -t
+                g |= (g & self._without[low.bit_length() - 1]) << low
+                t ^= low
+            out |= g
+        return out
+
+
 def part_vectors(n: int, k: int) -> Iterator[tuple[int, ...]]:
     """All descending k-part vectors summing to n, in decreasing lex order.
 

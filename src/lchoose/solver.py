@@ -3,8 +3,9 @@ machinery built on top of it.
 
 Vertices in different parts must receive different colours, so a proper
 colouring assigns each part a set of colours disjoint from every other
-part's set, with each vertex picking from its own list.  The search below
-branches over inclusion-minimal colour covers of one part at a time.
+part's set, with each vertex picking from its own list.  The one-shot search
+below branches over inclusion-minimal colour covers of one part at a time,
+and scales past the 2**n-bit families the orbit walk decides with.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .assignment import AssignmentEnumerator, ColourPartition, ListAssignment
+from .assignment import AssignmentEnumerator, ColourPartition, ListAssignment, assignment_to_dict
 from .budget import Budget
-from .graphs import MultipartiteGraph
+from .graphs import ColourableSets, MultipartiteGraph
 from .lam import Lambda
 
 CHOOSABLE = "CHOOSABLE"
@@ -46,17 +47,13 @@ class Verdict:
     counterexample: tuple[ListAssignment, ColourPartition] | None = None
 
     def to_dict(self) -> dict:
-        from .assignment import assignment_to_dict
-
-        ce = None
-        if self.counterexample is not None:
-            ce = assignment_to_dict(self.counterexample[0], self.counterexample[1])
+        ce = self.counterexample
         return {
             "status": self.status,
             "exhaustive": self.exhaustive,
             "orbits_checked": self.orbits_checked,
             "universe_bound": self.universe_bound,
-            "counterexample": ce,
+            "counterexample": assignment_to_dict(*ce) if ce is not None else None,
         }
 
 
@@ -132,24 +129,21 @@ def find_colouring(graph: MultipartiteGraph, assignment: ListAssignment) -> Colo
 
 
 def make_colourability_oracle(graph: MultipartiteGraph) -> Callable[[tuple[int, ...]], bool]:
-    """Cached predicate: do these list masks admit a proper colouring?
+    """Uncached predicate: do these list masks admit a proper colouring?
 
-    Keyed on the raw mask tuple, so it is safe across the enumerator's many
-    revisits of equal partial states.  The cache is dropped wholesale when it
-    grows past a few hundred thousand entries.
+    Folds each colour's type through ``ColourableSets.add``, the update the
+    orbit walk makes per placed colour, and reads the whole vertex set's bit.
+    The work is 2**n bits per colour, so this is for desk-scale graphs.
     """
-    cache: dict[tuple[int, ...], bool] = {}
+    sets = ColourableSets(graph)
 
     def oracle(masks: tuple[int, ...]) -> bool:
-        hit = cache.get(masks)
-        if hit is not None:
-            return hit
-        universe = max(m.bit_length() for m in masks)
-        res = find_colouring(graph, ListAssignment(universe, masks)) is not None
-        if len(cache) > 300_000:
-            cache.clear()
-        cache[masks] = res
-        return res
+        if len(masks) != graph.n:
+            raise ValueError("masks and graph disagree on the vertex count")
+        family = ColourableSets.EMPTY
+        for c in range(max(m.bit_length() for m in masks)):
+            family = sets.add(family, sum(1 << v for v, m in enumerate(masks) if m >> c & 1))
+        return bool(family >> sets.full & 1)
 
     return oracle
 
@@ -161,23 +155,17 @@ def is_choosable(
 
     Exact assignments are enough: any assignment meeting the quotas can be
     trimmed to an exact one, and trimming cannot create colourings.  The
-    enumerator prunes colourable partial states, so any assignment it yields
-    is a genuine counterexample; it is re-checked here regardless.
+    enumerator prunes colourable partial states without a solver call, so
+    any assignment it yields is a genuine counterexample; the cover search
+    re-checks it here regardless.  Shapes too large for the walk's
+    canonical forms raise ValueError before it starts.
     """
-    budget = budget if budget is not None else Budget()
-    oracle = make_colourability_oracle(graph)
-    enum = AssignmentEnumerator(graph, lam, budget, prune_colourable=oracle)
-    counterexample = None
+    enum = AssignmentEnumerator(graph, lam, budget, prune_colourable=True)
+    universe_bound = graph.n * lam.total
     for la, partition in enum:
         if find_colouring(graph, la) is not None:
             raise RuntimeError("enumerator yielded a colourable assignment")
-        counterexample = (la, partition)
-        break
-    universe_bound = graph.n * lam.total
-    if counterexample is not None:
-        return Verdict(
-            NOT_CHOOSABLE, True, enum.orbits_seen, universe_bound, counterexample
-        )
+        return Verdict(NOT_CHOOSABLE, True, enum.orbits_seen, universe_bound, (la, partition))
     if enum.truncated:
         return Verdict(INCONCLUSIVE, False, enum.orbits_seen, universe_bound)
     return Verdict(CHOOSABLE, True, enum.orbits_seen, universe_bound)

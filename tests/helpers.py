@@ -4,10 +4,11 @@ tiny instances."""
 
 from __future__ import annotations
 
+import random
 from itertools import product
 
 from lchoose.assignment import ColourPartition, ListAssignment, canonical_key
-from lchoose.graphs import MultipartiteGraph
+from lchoose.graphs import MultipartiteGraph, part_vectors
 from lchoose.lam import Lambda
 
 
@@ -26,6 +27,56 @@ def naive_colouring_exists(graph: MultipartiteGraph, assignment: ListAssignment)
         if ok:
             return True
     return False
+
+
+def _squeezed_random_assignment(rng: random.Random, n: int, universe_cap: int) -> ListAssignment:
+    u = rng.randint(1, universe_cap)
+    masks = []
+    for _ in range(n):
+        size = rng.randint(1, u)
+        cols = rng.sample(range(u), size)
+        masks.append(sum(1 << c for c in cols))
+    union = 0
+    for m in masks:
+        union |= m
+    # squeeze unused colours out so the union is a full contiguous universe
+    live = [c for c in range(u) if union >> c & 1]
+    remap = {c: i for i, c in enumerate(live)}
+    squeezed = tuple(
+        sum(1 << remap[c] for c in range(u) if m >> c & 1) for m in masks
+    )
+    return ListAssignment(len(live), squeezed)
+
+
+def _shapes(n: int) -> list[tuple[int, ...]]:
+    return [s for k in range(1, n + 1) for s in part_vectors(n, k)]
+
+
+def colouring_random_corpus(seed: int = 777, count: int = 10_000):
+    """The seeded (graph, assignment) corpus of acceptance criterion 7:
+    every shape on up to 7 vertices, universes of up to 5 colours."""
+    rng = random.Random(seed)
+    shapes_by_n = {n: _shapes(n) for n in range(1, 8)}
+    for _ in range(count):
+        n = rng.randint(1, 7)
+        graph = MultipartiteGraph(rng.choice(shapes_by_n[n]))
+        yield graph, _squeezed_random_assignment(rng, n, 5)
+
+
+def colouring_micro_grid():
+    """Every shape on up to 4 vertices with every list tuple over a universe
+    of up to 3 colours whose union is the full set (criterion 7's grid)."""
+    for n in range(1, 5):
+        for sizes in _shapes(n):
+            graph = MultipartiteGraph(sizes)
+            for u in range(1, 4):
+                full = (1 << u) - 1
+                for masks in product(range(1, full + 1), repeat=n):
+                    union = 0
+                    for m in masks:
+                        union |= m
+                    if union == full:
+                        yield graph, ListAssignment(u, masks)
 
 
 def _class_multisets(n: int, quota: int):

@@ -8,9 +8,8 @@ import random
 import time
 from itertools import product
 
-from helpers import naive_colouring_exists
+from helpers import colouring_micro_grid, colouring_random_corpus, naive_colouring_exists
 
-from lchoose.assignment import ListAssignment
 from lchoose.budget import Budget
 from lchoose.bundles import bundle_lemma1_grid, bundle_phi2, bundle_tuple_audit, k42_block_sizes
 from lchoose.constructions import (
@@ -185,33 +184,10 @@ def test_criterion_6_size_formula_coherence():
     clock.done()
 
 
-def _random_assignment(rng: random.Random, n: int, universe_cap: int) -> ListAssignment:
-    u = rng.randint(1, universe_cap)
-    masks = []
-    for _ in range(n):
-        size = rng.randint(1, u)
-        cols = rng.sample(range(u), size)
-        masks.append(sum(1 << c for c in cols))
-    union = 0
-    for m in masks:
-        union |= m
-    # squeeze unused colours out so the union is a full contiguous universe
-    live = [c for c in range(u) if union >> c & 1]
-    remap = {c: i for i, c in enumerate(live)}
-    squeezed = tuple(
-        sum(1 << remap[c] for c in range(u) if m >> c & 1) for m in masks
-    )
-    return ListAssignment(len(live), squeezed)
-
-
 def test_criterion_7_list_colouring_solver_vs_brute_force():
     clock = Clock("criterion 7 (solver equals brute force, random and exhaustive)", 300)
-    rng = random.Random(777)
-    shapes_by_n = {n: [s for k in range(1, n + 1) for s in part_vectors(n, k)] for n in range(1, 8)}
-    for _ in range(10_000):
-        n = rng.randint(1, 7)
-        graph = MultipartiteGraph(rng.choice(shapes_by_n[n]))
-        assignment = _random_assignment(rng, n, 5)
+    for graph, assignment in colouring_random_corpus(seed=777):
+        n = graph.n
         got = find_colouring(graph, assignment)
         want = naive_colouring_exists(graph, assignment)
         assert (got is not None) == want
@@ -225,22 +201,11 @@ def test_criterion_7_list_colouring_solver_vs_brute_force():
     # exhaustive micro grid: every shape on up to 4 vertices, every list
     # tuple over a universe of up to 3 colours whose union is the full set
     cases = 0
-    for n in range(1, 5):
-        for sizes in shapes_by_n[n]:
-            graph = MultipartiteGraph(sizes)
-            for u in range(1, 4):
-                full = (1 << u) - 1
-                for masks in product(range(1, full + 1), repeat=n):
-                    union = 0
-                    for m in masks:
-                        union |= m
-                    if union != full:
-                        continue
-                    assignment = ListAssignment(u, masks)
-                    got = find_colouring(graph, assignment)
-                    want = naive_colouring_exists(graph, assignment)
-                    assert (got is not None) == want, (sizes, u, masks)
-                    cases += 1
+    for graph, assignment in colouring_micro_grid():
+        got = find_colouring(graph, assignment)
+        want = naive_colouring_exists(graph, assignment)
+        assert (got is not None) == want, (graph.part_sizes, assignment)
+        cases += 1
     assert cases > 10_000
     clock.done()
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -146,4 +147,23 @@ def test_usage_errors(capsys):
 
 def test_missing_file(capsys, tmp_path):
     code, _ = run(capsys, ["gen", str(tmp_path / "absent.json")])
+    assert code == 3
+
+
+def test_oversized_shape_refused_before_the_walk(capsys):
+    # the vertex group of K(10,10) has 10!*10!*2 elements; the refusal must
+    # come before any per-subset work on the 20 vertices
+    start = time.perf_counter()
+    code = main(["check", "-g", "10,10", "-l", "2"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "symmetry group too large" in captured.err
+    assert elapsed < 1.0
+
+
+def test_removed_flags_are_usage_errors(capsys):
+    code, _ = run(capsys, ["check", "-g", "2,2", "-l", "2", "--threads", "2"])
+    assert code == 3
+    code, _ = run(capsys, ["verify", "tuple-audit", "--seed", "1"])
     assert code == 3

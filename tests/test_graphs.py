@@ -1,8 +1,9 @@
-from itertools import combinations_with_replacement
+import random
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
-from lchoose.graphs import MultipartiteGraph, part_vectors
+from lchoose.graphs import ColourableSets, MultipartiteGraph, part_vectors
 
 
 def test_normalisation():
@@ -63,3 +64,29 @@ def test_part_vectors_empty_cases():
     assert list(part_vectors(3, 4)) == []
     assert list(part_vectors(0, 1)) == []
     assert list(part_vectors(4, 0)) == []
+
+
+def test_colourable_sets_match_brute_force():
+    # every bit of the family, not just the whole set's, after each colour
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        graph = MultipartiteGraph(rng.choice([s for k in range(1, n + 1) for s in part_vectors(n, k)]))
+        sets = ColourableSets(graph)
+        family, types = ColourableSets.EMPTY, []
+        for _ in range(rng.randint(0, 5)):
+            types.append(rng.randrange(1, 1 << n))
+            family = sets.add(family, types[-1])
+        for W in range(1 << n):
+            members = [v for v in range(n) if W >> v & 1]
+            # a proper colouring of W picks, per vertex, a colour whose type
+            # holds it; vertices of different parts need different colours
+            want = any(
+                all(types[c] >> v & 1 for v, c in zip(members, pick))
+                and all(
+                    c1 != c2 or graph.part_of[v1] == graph.part_of[v2]
+                    for (v1, c1), (v2, c2) in combinations(zip(members, pick), 2)
+                )
+                for pick in product(range(len(types)), repeat=len(members))
+            )
+            assert bool(family >> W & 1) == want, (graph, types, W)

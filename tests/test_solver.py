@@ -1,4 +1,5 @@
 import random
+from itertools import chain
 
 import pytest
 
@@ -16,7 +17,12 @@ from lchoose.solver import (
     make_colourability_oracle,
 )
 
-from helpers import naive_colouring_exists, naive_is_choosable
+from helpers import (
+    colouring_micro_grid,
+    colouring_random_corpus,
+    naive_colouring_exists,
+    naive_is_choosable,
+)
 
 
 def check_proper(graph, assignment, colouring):
@@ -73,14 +79,24 @@ def test_find_colouring_size_mismatch():
         find_colouring(MultipartiteGraph((2, 1)), ListAssignment(1, (1, 1)))
 
 
-def test_colourability_oracle_caches():
+def test_colourability_oracle_matches_both_colourers():
+    # the subset-DP predicate against the cover search and the product
+    # colourer, on criterion 7's random corpus and its exhaustive grid
+    oracles = {}
+    cases = 0
+    for graph, la in chain(colouring_random_corpus(seed=777), colouring_micro_grid()):
+        if graph not in oracles:
+            oracles[graph] = make_colourability_oracle(graph)
+        got = oracles[graph](la.masks)
+        assert got is (find_colouring(graph, la) is not None), (graph, la)
+        assert got is naive_colouring_exists(graph, la), (graph, la)
+        cases += 1
+    assert cases > 20_000
     G = MultipartiteGraph((2, 2))
-    oracle = make_colourability_oracle(G)
-    masks = (0b01, 0b01, 0b10, 0b10)
-    assert oracle(masks) is True
-    assert oracle(masks) is True  # cached path
-    same = (0b1, 0b1, 0b1, 0b1)
-    assert oracle(same) is False
+    assert make_colourability_oracle(G)((0b01, 0b01, 0b10, 0b10)) is True
+    assert make_colourability_oracle(G)((0b1, 0b1, 0b1, 0b1)) is False
+    with pytest.raises(ValueError):
+        make_colourability_oracle(G)((0b1, 0b1))
 
 
 def test_is_choosable_matches_brute_force():
