@@ -374,8 +374,9 @@ class AssignmentEnumerator:
     are suppressed too, which turns the stream into the stream of
     counterexample orbits.  A non-colourable assignment keeps every prefix
     non-colourable, so no counterexample orbit is ever lost to this pruning.
-    Each test reads one bit of a ``ColourableSets`` family; the walk keeps a
-    stack of them, one update per placed colour, so no solver runs.
+    Each test reads one bit of a ``ColourableSets`` family.  Every node gets
+    its family from its parent, updated once for the colour just placed, so no
+    solver runs and nothing is undone on backtrack.
 
     ``truncated`` reports whether the budget cut the walk short;
     ``orbits_seen`` counts the canonical leaves reached.  Shapes whose vertex
@@ -396,111 +397,80 @@ class AssignmentEnumerator:
         self.prune = prune_colourable
         self.truncated = False
         self.orbits_seen = 0
-        self._quotas = tuple(sorted(lam.parts, reverse=True))
         self._gen = self._walk()
 
     def __iter__(self) -> Iterator[tuple[ListAssignment, ColourPartition]]:
         return self._gen
 
-    def _build(self, masks: list[int], done: list[tuple[int, ...]]):
-        total_colours = sum(len(enc) for enc in done)
-        la = ListAssignment(total_colours, tuple(masks))
-        q = len(self._quotas)
-        class_of = []
-        for ci, enc in enumerate(done):
-            class_of.extend([q - 1 - ci] * len(enc))
-        return la, ColourPartition(self.lam, tuple(class_of))
+    def _build(self, done: tuple[tuple[int, ...], ...]):
+        # colours are numbered in placement order
+        types = [s for cls in done for s in cls]
+        masks = tuple(
+            sum(1 << c for c, s in enumerate(types) if s >> v & 1) for v in range(self.graph.n)
+        )
+        class_of = tuple(len(done) - 1 - ci for ci, cls in enumerate(done) for _ in cls)
+        return ListAssignment(len(types), masks), ColourPartition(self.lam, class_of)
 
     def _walk(self):
         G = self.graph
         n = G.n
         full = (1 << n) - 1
-        q = len(self._quotas)
-        quotas = self._quotas
+        quotas = tuple(sorted(self.lam.parts, reverse=True))
         part_sizes = G.part_sizes
-        masks = [0] * n
-        types: list[int] = []
-        done: list[tuple[int, ...]] = []
-        # families[-1]: the sets the placed colours can colour (EMPTY unpruned)
+        tick = self.budget.tick
+        # ``owed`` packs n-bit layers: layer j holds the vertices still owed
+        # more than j colours of the current class.  Placing type s moves
+        # every vertex of s down one layer.
+        layers = sum(1 << j * n for j in range(quotas[0]))
+        # a family holds the sets the placed colours can colour (EMPTY unpruned)
         add = ColourableSets(G).add if self.prune else lambda family, s: family
-        families = [ColourableSets.EMPTY]
 
-        def leaf():
-            blocks = tuple((quotas[i], done[i]) for i in range(q))
-            if _canonical_blocks(part_sizes, blocks) != blocks:
-                return
-            self.orbits_seen += 1
-            if families[-1] >> full & 1:
-                return
-            yield self._build(masks, done)
-
-        def grow(ci, start, rem, rem_mask, cap, bound, pos, tight):
-            if self.truncated:
-                return
-            if not self.budget.tick():
+        def grow(ci, done, cls, owed, family, bound):
+            if not tick():
                 self.truncated = True
                 return
-            if rem_mask == 0:
-                done.append(tuple(types[start:]))
-                if ci + 1 == q:
-                    yield from leaf()
-                else:
-                    yield from begin_class(ci + 1)
-                done.pop()
+            rem = owed & full
+            if rem == 0:
+                done += (cls,)
+                if ci + 1 < len(quotas):
+                    k = quotas[ci + 1]
+                    bound = cls if quotas[ci] == k else None
+                    yield from grow(ci + 1, done, (), (1 << k * n) - 1, family, bound)
+                    return
+                blocks = tuple(zip(quotas, done))
+                if _canonical_blocks(part_sizes, blocks) == blocks:
+                    self.orbits_seen += 1
+                    if not family >> full & 1:
+                        yield self._build(done)
                 return
             # colourability is monotone in the lists: a colourable partial
             # can never complete to a counterexample
-            if families[-1] >> full & 1:
+            if family >> full & 1:
                 return
-            if tight and pos >= len(bound):
-                return  # equal prefix already used the whole bound
-            ceiling = min(cap, bound[pos]) if tight else cap
-            s = rem_mask
+            pos = len(cls)
+            ceiling = cls[-1] if cls else full
+            if bound is not None:
+                if pos == len(bound):
+                    return  # equal prefix already used the whole bound
+                ceiling = min(ceiling, bound[pos])
+            s = rem
             while s:
                 if s <= ceiling:
-                    bit = 1 << len(types)
-                    new_mask = rem_mask
-                    t = s
-                    while t:
-                        low = t & -t
-                        v = low.bit_length() - 1
-                        rem[v] -= 1
-                        if rem[v] == 0:
-                            new_mask ^= low
-                        masks[v] |= bit
-                        t ^= low
+                    spread = s * layers
+                    nxt = owed & ~spread | owed >> n & spread
+                    left = nxt & full
                     # any vertex still owed colours needs a later type of
                     # value >= 2**v, and later types are capped by s
-                    ok = True
-                    if new_mask:
-                        ok = (1 << (new_mask.bit_length() - 1)) <= s
-                    if ok:
-                        types.append(s)
-                        families.append(add(families[-1], s))
+                    if not left or 1 << left.bit_length() - 1 <= s:
                         yield from grow(
-                            ci, start, rem, new_mask, s, bound, pos + 1,
-                            tight and s == bound[pos],
+                            ci, done, cls + (s,), nxt, add(family, s),
+                            bound if bound is not None and s == bound[pos] else None,
                         )
-                        families.pop()
-                        types.pop()
-                    t = s
-                    while t:
-                        low = t & -t
-                        v = low.bit_length() - 1
-                        rem[v] += 1
-                        masks[v] &= ~bit
-                        t ^= low
-                    if self.truncated:
-                        return
-                s = (s - 1) & rem_mask
+                        if self.truncated:
+                            return
+                s = (s - 1) & rem
 
-        def begin_class(ci):
-            k = quotas[ci]
-            bound = done[ci - 1] if ci and quotas[ci - 1] == k else None
-            rem = [k] * n
-            yield from grow(ci, len(types), rem, full, full, bound, 0, bound is not None)
-
-        yield from begin_class(0)
+        yield from grow(0, (), (), (1 << quotas[0] * n) - 1, ColourableSets.EMPTY, None)
 
 
 def enumerate_lambda_assignments(

@@ -12,10 +12,12 @@ class Budget:
     def __init__(self, max_nodes: int | None = None, max_seconds: float | None = None):
         if max_nodes is not None and max_nodes < 0:
             raise ValueError("max_nodes must be nonnegative")
+        if max_seconds is not None and max_seconds < 0:
+            raise ValueError("max_seconds must be nonnegative")
         self.max_nodes = max_nodes
         self.max_seconds = max_seconds
         self.nodes = 0
-        self._deadline = time.monotonic() + max_seconds if max_seconds else None
+        self._deadline = time.monotonic() + max_seconds if max_seconds is not None else None
         self.exhausted = False
 
     def tick(self) -> bool:

@@ -65,7 +65,7 @@ def bundle_phi2(threads: int = 1, budget_nodes: int | None = None) -> dict:
 _GRID = ((1, 0, 1), (1, 1, 1), (2, 0, 1))
 
 
-def bundle_lemma1_grid(threads: int = 1, budget_nodes: int | None = None) -> dict:
+def bundle_lemma1_grid(budget_nodes: int | None = None) -> dict:
     """Build and fully re-verify the upper-bound gadget on a small grid of
     quota shapes (ones, twos, threes)."""
     rows = []
@@ -103,7 +103,7 @@ def _parity_instances(k: int, threes_budget: int):
     return out, enum.truncated
 
 
-def bundle_parity_k4(threads: int = 1, budget_nodes: int | None = None) -> dict:
+def bundle_parity_k4(budget_nodes: int | None = None) -> dict:
     """Parity obstruction at total quota 4.
 
     Every instance of both families must be non-colourable, must admit no
@@ -158,7 +158,7 @@ def _oracle_tuples(target: int) -> list[FourTuple]:
     return out
 
 
-def bundle_tuple_audit(threads: int = 1, budget_nodes: int | None = None) -> dict:
+def bundle_tuple_audit(budget_nodes: int | None = None) -> dict:
     """Audit the peel machinery against brute force.
 
     Phase one: the cap-bounded tuple finder agrees with a from-scratch
@@ -237,4 +237,7 @@ BUNDLES = {
 def run_bundle(name: str, threads: int = 1, budget_nodes: int | None = None) -> dict:
     if name not in BUNDLES:
         raise KeyError(name)
-    return BUNDLES[name](threads=threads, budget_nodes=budget_nodes)
+    # only the exhaustive sweep runs cells in parallel
+    if name == "phi2-exhaustive":
+        return bundle_phi2(threads=threads, budget_nodes=budget_nodes)
+    return BUNDLES[name](budget_nodes=budget_nodes)

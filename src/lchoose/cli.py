@@ -155,6 +155,9 @@ def _cmd_gen(args) -> int:
     elif family == "threes":
         k = int(manifest["k"])
         count = int(manifest.get("count", 1))
+        if count < 1:
+            print(f"threes count must be at least 1, got {count}", file=sys.stderr)
+            return USAGE_ERROR
         docs = []
         enum = ThreesFamilyEnumerator(k)
         for cand in enum:

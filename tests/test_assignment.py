@@ -221,13 +221,19 @@ ORBIT_CELLS = [
     ((2, 1, 1), (1, 1), 54),
 ]
 
+# the first masks of the unpruned stream, which pin the walk's order
+STREAM_HEADS = {
+    ((2, 2), (1, 1)): [(3, 3, 3, 3), (5, 3, 3, 3), (5, 5, 3, 3)],
+}
+
 
 @pytest.mark.parametrize("sizes,parts,count", ORBIT_CELLS)
 def test_enumerator_hits_every_orbit_once(sizes, parts, count):
     G, lam = MultipartiteGraph(sizes), Lambda(parts)
     enum = AssignmentEnumerator(G, lam)
-    keys = []
+    keys, masks = [], []
     for la, part in enum:
+        masks.append(la.masks)
         counts = quota_counts(la, part)
         assert all(row == list(lam.parts) for row in counts)
         assert la.universe_size <= G.n * lam.total
@@ -236,6 +242,8 @@ def test_enumerator_hits_every_orbit_once(sizes, parts, count):
     assert len(keys) == len(set(keys)), "an orbit was produced twice"
     assert set(keys) == naive_orbit_keys(G, lam)
     assert len(keys) == count == enum.orbits_seen
+    head = STREAM_HEADS.get((sizes, parts), [])
+    assert masks[: len(head)] == head
 
 
 def test_enumerator_budget_truncates():

@@ -120,6 +120,16 @@ def test_gen_lemma1_and_threes(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_gen_threes_rejects_nonpositive_count(tmp_path, capsys, count):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"family": "threes", "k": 2, "count": count}))
+    assert main(["gen", str(manifest)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "count" in err
+
+
 def test_verify_bundle(tmp_path, capsys):
     out = tmp_path / "bundle.json"
     code, doc = run(capsys, ["verify", "tuple-audit", "--out", str(out)])

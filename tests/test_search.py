@@ -1,5 +1,7 @@
 import math
 
+import pytest
+
 from lchoose.budget import Budget
 from lchoose.lam import Lambda, phi_exact
 from lchoose.search import phi_search, verify_choosable_below
@@ -90,3 +92,12 @@ def test_budget_object_counts():
     assert all(b.tick() for _ in range(5))
     assert not b.tick()
     assert b.exhausted
+
+
+def test_budget_zero_seconds_expires():
+    b = Budget(max_seconds=0)
+    # the clock is read every 1024 ticks
+    assert not all(b.tick() for _ in range(1024))
+    assert b.exhausted
+    with pytest.raises(ValueError):
+        Budget(max_seconds=-1)

@@ -20,7 +20,7 @@ from lchoose.assignment import canonical_key
 from lchoose.budget import Budget
 from lchoose.graphs import MultipartiteGraph, part_vectors
 from lchoose.lam import Lambda
-from lchoose.solver import NOT_CHOOSABLE, is_choosable
+from lchoose.solver import INCONCLUSIVE, NOT_CHOOSABLE, is_choosable
 
 CORPUS = Path(__file__).parent / "data" / "verdicts.json"
 LAMBDAS = ((2,), (1, 1), (3,), (1, 2), (1, 1, 1))
@@ -34,9 +34,9 @@ def _cells():
                 yield sizes, parts
 
 
-def _record(sizes, parts, budget=None) -> dict:
+def _record(sizes, parts) -> dict:
     graph, lam = MultipartiteGraph(sizes), Lambda(parts)
-    v = is_choosable(graph, lam, budget)
+    v = is_choosable(graph, lam)
     key = None
     if v.counterexample is not None:
         la, partition = v.counterexample
@@ -69,17 +69,33 @@ def test_verdict_corpus_replays():
     assert mismatches == []
 
 
+# the counterexample documents the anchored walks return, colour numbering
+# included
+ANCHOR_COUNTEREXAMPLES = {
+    ((4, 2), (2,)): {
+        "universe": 4,
+        "lists": [[1, 3], [1, 2], [0, 3], [0, 2], [2, 3], [0, 1]],
+        "partition": [0, 0, 0, 0],
+        "lambda": [2],
+    },
+}
+
+
 @pytest.mark.parametrize(
     "sizes, parts, status, nodes, orbits",
     [
         ((4, 2), (2,), NOT_CHOOSABLE, 19_746, 81),
         ((2, 2, 2), (1, 2), "CHOOSABLE", 138_935, 95),
+        # a truncated walk: the budget is one node short of the count,
+        # because the tick that overruns it is counted too
+        ((2, 2, 2), (1, 2), INCONCLUSIVE, 5_001, 14),
     ],
 )
 def test_walk_node_anchors(sizes, parts, status, nodes, orbits):
-    budget = Budget()
-    record = _record(sizes, parts, budget)
-    assert (record["status"], budget.nodes, record["orbits_checked"]) == (status, nodes, orbits)
+    budget = Budget(max_nodes=nodes - 1 if status == INCONCLUSIVE else None)
+    doc = is_choosable(MultipartiteGraph(sizes), Lambda(parts), budget).to_dict()
+    assert (doc["status"], budget.nodes, doc["orbits_checked"]) == (status, nodes, orbits)
+    assert doc["counterexample"] == ANCHOR_COUNTEREXAMPLES.get((sizes, parts))
 
 
 if __name__ == "__main__":
