@@ -12,6 +12,12 @@ Symmetries quotiented out by ``canonical_key`` and the enumerator:
   * renaming colours within a quota class,
   * swapping whole classes of equal quota,
   * permuting vertices within a part and swapping equal-size parts.
+
+Both searches below keep per-vertex counters as *packed layers*: one
+integer of n-bit layers, layer j holding the vertices whose count exceeds j.
+With ``S = s * layers`` (bit 0 of every layer set), ``x & ~S | x >> n & S``
+lowers by one every positive count in s, ``x & full`` holds the vertices with
+a positive count, and ``x & ~y`` is nonzero iff some count in x exceeds y's.
 """
 
 from __future__ import annotations
@@ -98,11 +104,7 @@ class ColourPartition:
         return len(self.class_of)
 
     def class_mask(self, i: int) -> int:
-        m = 0
-        for c, ci in enumerate(self.class_of):
-            if ci == i:
-                m |= 1 << c
-        return m
+        return self.class_masks()[i]
 
     def class_masks(self) -> tuple[int, ...]:
         out = [0] * self.lam.size
@@ -120,72 +122,64 @@ def quota_counts(assignment: ListAssignment, partition: ColourPartition) -> list
             for v in range(assignment.n)]
 
 
+def _colour_types(assignment: ListAssignment) -> list[int]:
+    # per colour, the vertices whose lists hold it
+    return [sum(1 << v for v, m in enumerate(assignment.masks) if m >> c & 1)
+            for c in range(assignment.universe_size)]
+
+
 def is_lambda_assignment(assignment: ListAssignment, lam: Lambda) -> ColourPartition | None:
     """Search for a partition of the universe witnessing the quotas.
 
     A witness gives every vertex at least ``lam.parts[i]`` colours of class i
     in its list, for every i.  Returns the first witness found by a
     deterministic backtracking search over colours (colours touching the most
-    vertices first), or None when no witness exists.
+    vertices first, each tried in classes 0, 1, ...), or None when no witness
+    exists.  Each node gets its state from its parent as packed counters (see
+    the module note): ``owed[i]`` counts the class-i colours each vertex still
+    needs and ``need`` their sum, while ``supply[pos]``, built once, counts
+    each list's colours at ``order[pos:]``.  The only prune is the bit test
+    ``need & ~supply[pos]``: some vertex needs more colours than it has left.
+    Empty classes of equal quota are interchangeable, and quotas ascend, so
+    class i is tried only once class i-1 of the same quota is in use.
     """
-    q = lam.size
     ks = lam.parts
-    total = lam.total
     n = assignment.n
     universe = assignment.universe_size
-    masks = assignment.masks
-    if any(m.bit_count() < total for m in masks):
-        return None
+    types = _colour_types(assignment)
+    order = sorted(range(universe), key=lambda c: (-types[c].bit_count(), c))
+    full = (1 << n) - 1
+    # bit 0 of every layer: lam.total layers for the counters, universe for supply
+    layers = ((1 << lam.total * n) - 1) // full
+    wide = ((1 << universe * n) - 1) // full
+    supply = [0]
+    for c in reversed(order):  # one more colour for every vertex of its type
+        supply.append(supply[-1] | (supply[-1] << n | types[c]) & types[c] * wide)
+    supply.reverse()
 
-    members = [tuple(v for v in range(n) if masks[v] >> c & 1) for c in range(universe)]
-    order = sorted(range(universe), key=lambda c: (-len(members[c]), c))
-    counts = [[0] * q for _ in range(n)]
-    free = [masks[v].bit_count() for v in range(n)]
-    class_used = [0] * q
-    assign = [-1] * universe
-
-    def feasible(vs: tuple[int, ...]) -> bool:
-        # every touched vertex must still be able to fill its open quotas
-        for v in vs:
-            row = counts[v]
-            need = 0
-            for i in range(q):
-                d = ks[i] - row[i]
-                if d > 0:
-                    need += d
-            if need > free[v]:
-                return False
-        return True
-
-    def rec(pos: int) -> bool:
+    def rec(pos, owed, need, used):
         if pos == universe:
-            return True
-        c = order[pos]
-        vs = members[c]
-        tried_empty: set[int] = set()
-        for i in range(q):
-            if class_used[i] == 0:
-                # classes of equal quota are interchangeable while empty
-                if ks[i] in tried_empty:
-                    continue
-                tried_empty.add(ks[i])
-            assign[c] = i
-            class_used[i] += 1
-            for v in vs:
-                counts[v][i] += 1
-                free[v] -= 1
-            if feasible(vs) and rec(pos + 1):
-                return True
-            class_used[i] -= 1
-            for v in vs:
-                counts[v][i] -= 1
-                free[v] += 1
-            assign[c] = -1
-        return False
-
-    if not rec(0):
+            return ()
+        s = types[order[pos]]
+        have = supply[pos + 1]
+        for i, k in enumerate(ks):
+            if i and k == ks[i - 1] and not used >> i - 1 & 1:
+                continue
+            paid = (s & owed[i]) * layers
+            left = need & ~paid | need >> n & paid
+            if left & ~have:
+                continue
+            nxt = owed[:i] + (owed[i] & ~paid | owed[i] >> n & paid,) + owed[i + 1:]
+            rest = rec(pos + 1, nxt, left, used | 1 << i)
+            if rest is not None:
+                return (i,) + rest
         return None
-    return ColourPartition(lam, tuple(assign))
+
+    need = (1 << lam.total * n) - 1
+    choice = None if need & ~supply[0] else rec(0, tuple((1 << k * n) - 1 for k in ks), need, 0)
+    if choice is None:
+        return None
+    return ColourPartition(lam, tuple(i for _, i in sorted(zip(order, choice))))
 
 
 def trim_to_exact(
@@ -314,14 +308,7 @@ def _canonical_blocks(part_sizes: tuple[int, ...], blocks: Blocks) -> Blocks:
 
 
 def _blocks_of(assignment: ListAssignment, lam: Lambda, partition: ColourPartition) -> Blocks:
-    type_masks = [0] * assignment.universe_size
-    for v, m in enumerate(assignment.masks):
-        bit = 1 << v
-        mm = m
-        while mm:
-            low = mm & -mm
-            type_masks[low.bit_length() - 1] |= bit
-            mm ^= low
+    type_masks = _colour_types(assignment)
     per_class: list[list[int]] = [[] for _ in range(lam.size)]
     for c, ci in enumerate(partition.class_of):
         per_class[ci].append(type_masks[c])
@@ -418,9 +405,7 @@ class AssignmentEnumerator:
         quotas = tuple(sorted(self.lam.parts, reverse=True))
         part_sizes = G.part_sizes
         tick = self.budget.tick
-        # ``owed`` packs n-bit layers: layer j holds the vertices still owed
-        # more than j colours of the current class.  Placing type s moves
-        # every vertex of s down one layer.
+        # ``owed`` packs the current class's colours each vertex is still owed
         layers = sum(1 << j * n for j in range(quotas[0]))
         # a family holds the sets the placed colours can colour (EMPTY unpruned)
         add = ColourableSets(G).add if self.prune else lambda family, s: family
@@ -515,6 +500,11 @@ def assignment_from_dict(data: dict) -> tuple[ListAssignment, ColourPartition | 
     for lst in lists:
         if not isinstance(lst, list) or not all(isinstance(c, int) for c in lst):
             raise ValueError("lists must be arrays of integers")
+    # before any bitmask is built: a huge colour or universe asks for a huge int
+    if not 1 <= universe <= sum(map(len, lists)):
+        raise ValueError("universe must be between 1 and the number of list entries")
+    if any(not 0 <= c < universe for lst in lists for c in lst):
+        raise ValueError(f"a colour lies outside the universe 0..{universe - 1}")
     assignment = ListAssignment.from_lists(universe, lists)
     lam = None
     if data.get("lambda") is not None:

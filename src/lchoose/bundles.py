@@ -65,7 +65,7 @@ def bundle_phi2(threads: int = 1, budget_nodes: int | None = None) -> dict:
 _GRID = ((1, 0, 1), (1, 1, 1), (2, 0, 1))
 
 
-def bundle_lemma1_grid(budget_nodes: int | None = None) -> dict:
+def bundle_lemma1_grid() -> dict:
     """Build and fully re-verify the upper-bound gadget on a small grid of
     quota shapes (ones, twos, threes)."""
     rows = []
@@ -158,7 +158,7 @@ def _oracle_tuples(target: int) -> list[FourTuple]:
     return out
 
 
-def bundle_tuple_audit(budget_nodes: int | None = None) -> dict:
+def bundle_tuple_audit() -> dict:
     """Audit the peel machinery against brute force.
 
     Phase one: the cap-bounded tuple finder agrees with a from-scratch
@@ -237,7 +237,10 @@ BUNDLES = {
 def run_bundle(name: str, threads: int = 1, budget_nodes: int | None = None) -> dict:
     if name not in BUNDLES:
         raise KeyError(name)
-    # only the exhaustive sweep runs cells in parallel
+    # only the exhaustive sweep runs cells in parallel, and only it and the
+    # parity audit have a walk for the node budget to cut
     if name == "phi2-exhaustive":
-        return bundle_phi2(threads=threads, budget_nodes=budget_nodes)
-    return BUNDLES[name](budget_nodes=budget_nodes)
+        return BUNDLES[name](threads=threads, budget_nodes=budget_nodes)
+    if name == "parity-k4":
+        return BUNDLES[name](budget_nodes=budget_nodes)
+    return BUNDLES[name]()

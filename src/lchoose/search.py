@@ -40,7 +40,8 @@ def _run_cells(
 ) -> list[CellResult]:
     if threads <= 1 or len(jobs) <= 1:
         return [_cell_worker(j) for j in jobs]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    # a forked pool starts every worker at once, wanted or not
+    with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
         return list(pool.map(_cell_worker, jobs))
 
 
@@ -86,7 +87,10 @@ def phi_search(
     Finishes the whole level where the first counterexample appears (so all
     witnesses at the minimum count are reported), then stops.  The
     all-singletons quota short-circuits: every shape is choosable for it.
+    Raises ValueError when ``threads`` is below 1.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     if lam.is_trivial:
         return PhiSearchReport(lam, n_max, (), None, True, infinite=True)
     k = lam.total
@@ -139,7 +143,10 @@ def verify_choosable_below(
 
     True only when every such cell came back CHOOSABLE with an exhaustive
     walk, which makes the result a genuine lower-bound certificate.
+    Raises ValueError when ``threads`` is below 1.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     if lam.is_trivial:
         return BelowReport(lam, n, (), True)
     k = lam.total

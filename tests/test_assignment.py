@@ -100,6 +100,53 @@ def test_witness_hand_cases():
     assert is_lambda_assignment(wide, Lambda((5,))) is None
 
 
+def _pinned_witness_cases():
+    """Seeded lists on up to 7 vertices with several equal quotas, sized so
+    that about a third of them admit a witness."""
+    rng = random.Random(2604)
+    for parts in ((1, 1, 2), (2, 2, 2), (1, 1, 1, 1), (1, 2, 2), (1, 1, 1, 2)):
+        lam = Lambda(parts)
+        for _ in range(40):
+            n = rng.randint(1, 7)
+            universe = rng.randint(lam.total, lam.total + 3)
+            lists = [rng.sample(range(universe), rng.randint(lam.total - 1, universe))
+                     for _ in range(n)]
+            for c in set(range(universe)) - {c for lst in lists for c in lst}:
+                rng.choice(lists).append(c)
+            yield ListAssignment.from_lists(universe, lists), lam
+
+
+def test_witness_search_pinned_outputs():
+    # the exact first witness is part of the contract: search order, pruning
+    # and the empty-class symmetry rule all show in it
+    import hashlib
+
+    got = [is_lambda_assignment(la, lam) for la, lam in _pinned_witness_cases()]
+    assert sum(w is not None for w in got) == 66
+    digest = hashlib.sha256(
+        repr([None if w is None else w.class_of for w in got]).encode()
+    ).hexdigest()
+    assert digest == "b2929ac1494738c6743b9a5d0575f28992116efe82815e66932655163618dbc4"
+
+    from lchoose.bundles import k42_block_sizes
+    from lchoose.constructions import build_bad_k42
+
+    want = {
+        ((0, 3, 3), (2, 4)): (0, 1, 1, 0, 1, 1, 0, 1, 1, 0, 1, 1),
+        ((0, 3, 3), (2, 2, 2)): (0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2),
+        ((1, 2, 3), (2, 4)): (0, 0, 1, 1, 1, 1, 0, 1, 1, 0, 1, 1),
+        ((1, 2, 3), (2, 2, 2)): (0, 0, 1, 2, 1, 2, 0, 1, 2, 0, 1, 2),
+        ((2, 1, 3), (2, 4)): (0, 1, 0, 1, 1, 1, 0, 1, 1, 0, 1, 1),
+        ((2, 1, 3), (2, 2, 2)): (0, 1, 0, 1, 2, 2, 0, 1, 2, 0, 1, 2),
+        ((3, 0, 3), (2, 4)): (0, 1, 1, 0, 1, 1, 0, 1, 1, 0, 1, 1),
+        ((3, 0, 3), (2, 2, 2)): (0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2),
+    }
+    for sizes in k42_block_sizes(6):
+        _, la = build_bad_k42(6, sizes)
+        for parts in ((2, 4), (2, 2, 2)):
+            assert is_lambda_assignment(la, Lambda(parts)).class_of == want[sizes, parts]
+
+
 def test_trim_to_exact_properties():
     rng = random.Random(77)
     from helpers import naive_colouring_exists
@@ -296,5 +343,25 @@ def test_dict_round_trip():
     ],
 )
 def test_dict_rejects_malformed(doc):
+    with pytest.raises(ValueError):
+        assignment_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"universe": 3, "lists": [[0, 1], [2, 3]]},  # colour 3 outside
+        {"universe": 3, "lists": [[0, -1], [1, 2]]},  # negative colour
+        {"universe": 2, "lists": [[0], [1 << 40]]},  # huge colour
+        {"universe": 10**12, "lists": [[0]]},  # universe above the entries
+        {"universe": 5, "lists": [[0, 1], [2]]},
+        {"universe": 0, "lists": [[0]]},
+    ],
+)
+def test_dict_rejects_colours_outside_the_universe_before_building_masks(doc, monkeypatch):
+    def built(cls, universe, lists):
+        pytest.fail("bitmasks were built before the document was validated")
+
+    monkeypatch.setattr(ListAssignment, "from_lists", classmethod(built))
     with pytest.raises(ValueError):
         assignment_from_dict(doc)

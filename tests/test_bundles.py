@@ -63,6 +63,23 @@ def test_tuple_audit_bundle():
     assert all(cell["ok"] for cell in payload["recipe_cells"])
 
 
+def test_run_bundle_forwards_only_what_each_bundle_reads(monkeypatch):
+    import lchoose.bundles as bundles
+
+    calls = {}
+    for name in bundles.BUNDLES:
+        monkeypatch.setitem(bundles.BUNDLES, name,
+                            lambda name=name, **kw: calls.setdefault(name, kw))
+    for name in bundles.BUNDLES:
+        run_bundle(name, threads=2, budget_nodes=7)
+    assert calls == {
+        "phi2-exhaustive": {"threads": 2, "budget_nodes": 7},
+        "lemma1-grid": {},
+        "parity-k4": {"budget_nodes": 7},
+        "tuple-audit": {},
+    }
+
+
 def test_run_bundle_unknown():
     with pytest.raises(KeyError):
         run_bundle("no-such-bundle")

@@ -101,6 +101,27 @@ def test_solve_malformed_document(tmp_path, capsys):
     assert code == 3
 
 
+def test_solve_rejects_a_universe_beyond_its_lists(tmp_path, capsys, monkeypatch):
+    from lchoose.assignment import ListAssignment
+
+    def built(cls, universe, lists):
+        pytest.fail("bitmasks were built before the document was validated")
+
+    monkeypatch.setattr(ListAssignment, "from_lists", classmethod(built))
+    body = tmp_path / "a.json"
+    for doc in ({"universe": 10**12, "lists": [[0]]}, {"universe": 2, "lists": [[0], [7]]}):
+        body.write_text(json.dumps(doc))
+        code, out = run(capsys, ["solve", "-g", "1,1", str(body)])
+        assert code == 3 and out is None
+
+
+def test_threads_below_one_are_usage_errors(capsys):
+    code, out = run(capsys, ["phi", "-l", "2", "--search-up-to", "3", "--threads", "0"])
+    assert code == 3 and out is None
+    code, out = run(capsys, ["verify", "phi2-exhaustive", "--threads", "-1"])
+    assert code == 3 and out is None
+
+
 def test_gen_lemma1_and_threes(tmp_path, capsys):
     manifest = tmp_path / "m.json"
     manifest.write_text(json.dumps({"family": "lemma1", "ones": 1, "twos": 0, "threes": 1}))

@@ -76,6 +76,43 @@ def test_threads_match_sequential():
     ]
 
 
+def test_pool_never_outnumbers_its_cells(monkeypatch):
+    import lchoose.search as search
+
+    sizes = []
+
+    class RecordingPool:
+        # stands in for ProcessPoolExecutor: records the size, runs in-process
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
+    report = verify_choosable_below(Lambda((2,)), 5, threads=10**6)
+    assert report.ok and len(report.cells) == 4
+    assert sizes == [4]
+    phi_search(Lambda((2,)), 4, threads=10**6)
+    assert sizes == [4, 2]  # levels n=2 and n=3 hold one cell each and run in-process
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_threads_below_one_rejected(threads):
+    with pytest.raises(ValueError):
+        phi_search(Lambda((2,)), 4, threads=threads)
+    with pytest.raises(ValueError):
+        verify_choosable_below(Lambda((2,)), 4, threads=threads)
+    with pytest.raises(ValueError):
+        verify_choosable_below(Lambda((1, 1)), 4, threads=threads)  # trivial quota
+
+
 def test_report_dict_shapes():
     d = phi_search(Lambda((2,)), 6).to_dict()
     assert d["lambda"] == [2]
