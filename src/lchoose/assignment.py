@@ -23,6 +23,8 @@ a positive count, and ``x & ~y`` is nonzero iff some count in x exceeds y's.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
@@ -279,32 +281,36 @@ def vertex_group(part_sizes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 Blocks = tuple  # tuple[(quota, tuple[type mask, ...]), ...]
 
 
+# per shape: the lane typecode and, per vertex v, an integer whose lane g is 1 << g[v]
+_LANES: dict[tuple[int, ...], tuple[str, list[int]]] = {}
+
+
+def _encodings(part_sizes: tuple[int, ...], blocks: Blocks) -> Iterator[Blocks]:
+    """Lazily, the encoding of ``blocks`` under each element g of the vertex group.
+
+    g maps every type; then each class's images and the classes are sorted
+    descending.  A type's images under all g at once are the sum of its vertices'
+    lanes (no two vertices meet in a lane), unpacked into an ``array`` of lanes.
+    """
+    group = vertex_group(part_sizes)
+    n = sum(part_sizes)
+    if part_sizes not in _LANES:
+        code = next(c for c in "BHILQ" if array(c).itemsize * 8 >= n)
+        _LANES[part_sizes] = code, [int.from_bytes(array(code, [1 << g[v] for g in group]),
+                                                   sys.byteorder) for v in range(n)]
+    code, lanes = _LANES[part_sizes]
+    size = len(group) * array(code).itemsize
+    rows = [[array(code, sum(x for v, x in enumerate(lanes) if m >> v & 1)
+                   .to_bytes(size, sys.byteorder)) for m in ms] for _, ms in blocks]
+    quotas = [k for k, _ in blocks]
+    for cols in zip(*(zip(*r) for r in rows)):  # per g, each class's images
+        enc = zip(quotas, (tuple(sorted(c, reverse=True)) for c in cols))
+        yield tuple(sorted(enc, reverse=True))
+
+
 def _canonical_blocks(part_sizes: tuple[int, ...], blocks: Blocks) -> Blocks:
-    bits_of: dict[int, tuple[int, ...]] = {}
-    for _, ms in blocks:
-        for m in ms:
-            if m not in bits_of:
-                out = []
-                mm = m
-                while mm:
-                    low = mm & -mm
-                    out.append(low.bit_length() - 1)
-                    mm ^= low
-                bits_of[m] = tuple(out)
-    best = None
-    for perm in vertex_group(part_sizes):
-        enc = tuple(
-            sorted(
-                (
-                    (k, tuple(sorted((sum(1 << perm[b] for b in bits_of[m]) for m in ms), reverse=True)))
-                    for k, ms in blocks
-                ),
-                reverse=True,
-            )
-        )
-        if best is None or enc > best:
-            best = enc
-    return best
+    """The orbit maximum of ``blocks``: its largest encoding over all lanes."""
+    return max(_encodings(part_sizes, blocks))
 
 
 def _blocks_of(assignment: ListAssignment, lam: Lambda, partition: ColourPartition) -> Blocks:
@@ -329,7 +335,8 @@ def canonical_key(
     Two exact assignments get equal keys iff one maps to the other by some
     combination of colour renaming within classes, swaps of equal-quota
     classes, vertex permutations within parts and swaps of equal-size parts.
-    Requires the assignment to be exact for (lam, partition).
+    The key spells the orbit maximum, the largest encoding that ``_encodings``
+    reads off lane-packed vertex images.  Requires an exact (lam, partition).
     """
     if assignment.n != graph.n:
         raise ValueError("assignment and graph disagree on the vertex count")
@@ -353,7 +360,8 @@ class AssignmentEnumerator:
     non-increasing, and a class of the same quota as its predecessor must not
     exceed the predecessor's encoding, so every orbit is generated at least
     once in its maximal encoding.  A finished assignment is yielded only when
-    its encoding *is* the orbit maximum, hence exactly once per orbit.
+    no group element maps its encoding to a larger one (the test stops at the
+    first that does), so it *is* the orbit maximum: exactly once per orbit.
 
     With ``prune_colourable`` set, subtrees whose partial lists already admit
     a proper colouring are skipped: completions only add colours, so
@@ -423,7 +431,8 @@ class AssignmentEnumerator:
                     yield from grow(ci + 1, done, (), (1 << k * n) - 1, family, bound)
                     return
                 blocks = tuple(zip(quotas, done))
-                if _canonical_blocks(part_sizes, blocks) == blocks:
+                # orbit maximum iff no group element gives a larger image
+                if all(e <= blocks for e in _encodings(part_sizes, blocks)):
                     self.orbits_seen += 1
                     if not family >> full & 1:
                         yield self._build(done)

@@ -47,6 +47,12 @@ def _default_threads() -> int:
         return 1
 
 
+def _threads(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -210,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--search-up-to", type=int, default=None, metavar="N",
                    help="also sweep shapes up to N vertices")
     p.add_argument("--budget-nodes", type=int, default=None)
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=_threads, default=_default_threads())
     p.set_defaults(func=_cmd_phi)
 
     p = sub.add_parser("solve",
@@ -234,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named evidence bundle")
     p.add_argument("bundle", help="one of: " + ", ".join(sorted(BUNDLES)))
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=_threads, default=_default_threads())
     p.add_argument("--budget-nodes", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_verify)

@@ -7,7 +7,7 @@ from __future__ import annotations
 import random
 from itertools import product
 
-from lchoose.assignment import ColourPartition, ListAssignment, canonical_key
+from lchoose.assignment import ColourPartition, ListAssignment, canonical_key, vertex_group
 from lchoose.graphs import MultipartiteGraph, part_vectors
 from lchoose.lam import Lambda
 
@@ -137,6 +137,33 @@ def naive_orbit_keys(graph: MultipartiteGraph, lam: Lambda) -> set[bytes]:
         canonical_key(la, graph, lam, part)
         for la, part in naive_exact_assignments(graph, lam)
     }
+
+
+def reference_canonical_blocks(part_sizes: tuple[int, ...], blocks: tuple) -> tuple:
+    """The orbit maximum of ``blocks`` (``(quota, types)`` pairs), one vertex
+    permutation at a time: map every type bit by bit, sort each class's
+    images, then sort the classes, and keep the largest encoding."""
+    best = None
+    for perm in vertex_group(part_sizes):
+        enc = tuple(sorted(
+            ((k, tuple(sorted((sum(1 << perm[v] for v in range(len(perm)) if m >> v & 1)
+                               for m in ms), reverse=True)))
+             for k, ms in blocks),
+            reverse=True,
+        ))
+        if best is None or enc > best:
+            best = enc
+    return best
+
+
+def random_blocks(rng: random.Random, n: int, classes: int, most: int) -> tuple:
+    """Unsorted ``(quota, types)`` pairs: up to ``classes`` classes with
+    quotas in 1..2 (so equal quotas occur), each of 1..``most`` nonempty
+    vertex sets."""
+    return tuple(
+        (rng.randint(1, 2), tuple(rng.randint(1, (1 << n) - 1) for _ in range(rng.randint(1, most))))
+        for _ in range(rng.randint(1, classes))
+    )
 
 
 def naive_is_choosable(graph: MultipartiteGraph, lam: Lambda) -> bool:

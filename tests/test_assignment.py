@@ -19,7 +19,12 @@ from lchoose.budget import Budget
 from lchoose.graphs import MultipartiteGraph
 from lchoose.lam import Lambda
 
-from helpers import naive_orbit_keys, naive_witness_exists
+from helpers import (
+    naive_orbit_keys,
+    naive_witness_exists,
+    random_blocks,
+    reference_canonical_blocks,
+)
 
 
 def test_list_assignment_validation():
@@ -250,6 +255,66 @@ def test_canonical_key_rejects_inexact():
     la = ListAssignment.from_lists(2, [[0, 1], [0]])
     with pytest.raises(ValueError):
         canonical_key(la, G, lam, ColourPartition(lam, (0, 0)))
+
+
+# shapes with 1- and 2-byte lanes, and one with n=17, which needs 4-byte lanes
+CANONICAL_SHAPES = [
+    ((3, 3), 30), ((5, 1), 30), ((2, 2, 2), 30), ((4, 4, 1), 6), ((3, 3, 3, 1), 6),
+    ((4, 3, 3, 2, 2, 2, 1), 1),
+]
+
+
+def _canonical_cases():
+    rng = random.Random(31)
+    for sizes, count in CANONICAL_SHAPES:
+        for _ in range(count):
+            yield sizes, random_blocks(rng, sum(sizes), 3, 4)
+
+
+def test_canonical_blocks_match_the_per_permutation_reference():
+    from lchoose.assignment import _canonical_blocks
+
+    for sizes, blocks in _canonical_cases():
+        assert _canonical_blocks(sizes, blocks) == reference_canonical_blocks(sizes, blocks)
+
+
+def test_leaf_test_agrees_with_the_orbit_maximum():
+    # the walk's leaf test stops at the first larger image; it must accept
+    # exactly the blocks that are their own orbit maximum, unsorted ones too
+    from lchoose.assignment import _encodings
+
+    def sort(blocks):  # the identity's encoding
+        return tuple(sorted(((k, tuple(sorted(ms, reverse=True))) for k, ms in blocks),
+                            reverse=True))
+
+    seen = set()  # (sorted, accepted) pairs met
+    for sizes, blocks in _canonical_cases():
+        canon = reference_canonical_blocks(sizes, blocks)
+        for b in (blocks, sort(blocks), canon):
+            leaf = all(e <= b for e in _encodings(sizes, b))
+            assert leaf == (max(_encodings(sizes, b)) == b) == (canon == b)
+            seen.add((b == sort(b), leaf))
+    assert seen == {(False, False), (True, False), (True, True)}
+
+
+def test_canonical_key_bytes_pinned():
+    # keys are compared across runs (verdict corpus, family dedup), so their
+    # exact bytes are part of the contract
+    import hashlib
+
+    from lchoose.constructions import ThreesFamilyEnumerator
+
+    lam = Lambda((4,))
+    cands = list(ThreesFamilyEnumerator(4, Budget(max_nodes=200)))
+    assert len(cands) == 10
+    keys = [canonical_key(c.assignment, c.graph, lam,
+                          ColourPartition(lam, (0,) * c.assignment.universe_size)) for c in cands]
+    for sizes, parts in (((3, 3), (1, 1)), ((2, 2, 1), (1, 2))):
+        G, lam = MultipartiteGraph(sizes), Lambda(parts)
+        keys += [canonical_key(la, G, lam, part) for la, part in AssignmentEnumerator(G, lam)]
+    assert len(keys) == 10 + 644 + 13326
+    digest = hashlib.sha256(b"\n".join(keys)).hexdigest()
+    assert digest == "1475e479f8c52a9927fc8e1cde2efca2d3027484cab4d58df9916b08e5c171e7"
 
 
 # orbit counts pinned from the brute-force oracle

@@ -120,6 +120,12 @@ def test_threads_below_one_are_usage_errors(capsys):
     assert code == 3 and out is None
     code, out = run(capsys, ["verify", "phi2-exhaustive", "--threads", "-1"])
     assert code == 3 and out is None
+    # the parser refuses them, so commands that start no pool refuse them too
+    for argv in (["phi", "-l", "1,1", "--search-up-to", "4", "--threads", "0"],
+                 ["verify", "tuple-audit", "--threads", "0"],
+                 ["phi", "-l", "1,1", "--threads", "two"]):
+        code, out = run(capsys, argv)
+        assert code == 3 and out is None
 
 
 def test_gen_lemma1_and_threes(tmp_path, capsys):
