@@ -40,13 +40,6 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("LCHOOSE_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _threads(text: str) -> int:
     if int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
@@ -216,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--search-up-to", type=int, default=None, metavar="N",
                    help="also sweep shapes up to N vertices")
     p.add_argument("--budget-nodes", type=int, default=None)
-    p.add_argument("--threads", type=_threads, default=_default_threads())
+    p.add_argument("--threads", type=_threads, default=os.environ.get("LCHOOSE_THREADS", "1"))
     p.set_defaults(func=_cmd_phi)
 
     p = sub.add_parser("solve",
@@ -240,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named evidence bundle")
     p.add_argument("bundle", help="one of: " + ", ".join(sorted(BUNDLES)))
-    p.add_argument("--threads", type=_threads, default=_default_threads())
+    p.add_argument("--threads", type=_threads, default=os.environ.get("LCHOOSE_THREADS", "1"))
     p.add_argument("--budget-nodes", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_verify)

@@ -5,7 +5,10 @@ Vertices in different parts must receive different colours, so a proper
 colouring assigns each part a set of colours disjoint from every other
 part's set, with each vertex picking from its own list.  The one-shot search
 below branches over inclusion-minimal colour covers of one part at a time,
-and scales past the 2**n-bit families the orbit walk decides with.
+and scales past the 2**n-bit families the orbit walk decides with.  Each
+node first counts colours: a part with lists inside a colour set X needs one
+colour of X, or two if those lists share none (Hall's condition, deficiency
+form), and a node whose parts need more than X holds fails unbranched.
 """
 
 from __future__ import annotations
@@ -89,11 +92,36 @@ def _minimal_covers(restricted: tuple[int, ...]) -> list[int]:
     return sorted(found, key=lambda c: (c.bit_count(), c))
 
 
+def _short_of_colours(lists: list[list[int]], avail: int) -> bool:
+    """Do these parts need more colours of some X than X holds?  X ranges
+    over ``avail`` and the lists cut to it (see the module docstring)."""
+    rest = [[m & avail for m in part] for part in lists]
+    if not all(map(all, rest)):
+        return True
+    for x in {avail}.union(*rest):
+        need, out = 0, ~x
+        for part in rest:
+            common, hit = -1, False
+            for m in part:
+                if not m & out:
+                    common &= m
+                    hit = True
+            if hit:
+                need += 1 if common else 2
+        if need > x.bit_count():
+            return True
+    return False
+
+
 def find_colouring(graph: MultipartiteGraph, assignment: ListAssignment) -> Colouring | None:
     """First proper colouring from the lists, or None.
 
     Deterministic: parts are processed largest first (ties by vertex order)
-    and candidate covers in (size, value) order.
+    and candidate covers in (size, value) order.  While two or more parts
+    remain, a node fails if some X (its free colours, or one list cut to
+    them) is short of colours.  Sound: parts take disjoint colour sets, and a
+    part with one colour c in X gives c to each vertex whose list lies in X,
+    so c is in all those lists.  The first colouring found is thus unchanged.
     """
     if assignment.n != graph.n:
         raise ValueError("assignment and graph disagree on the vertex count")
@@ -104,12 +132,16 @@ def find_colouring(graph: MultipartiteGraph, assignment: ListAssignment) -> Colo
     full = 0
     for m in assignment.masks:
         full |= m
+    lists = [[assignment.masks[v] for v in parts[i]] for i in order] if len(order) > 1 else []
 
     def solve(pi: int, avail: int) -> bool:
         if pi == len(order):
             return True
         key = (pi, avail)
         if key in memo_fail:
+            return False
+        if pi + 1 < len(order) and _short_of_colours(lists[pi:], avail):
+            memo_fail.add(key)
             return False
         part = parts[order[pi]]
         restricted = tuple(assignment.masks[v] & avail for v in part)

@@ -221,3 +221,21 @@ def naive_precedes(lam: Lambda, other: Lambda) -> bool:
         if all(sums[i] >= lam.parts[i] for i in range(p)):
             return True
     return False
+
+
+def half_list_corpus(seed: int, count: int):
+    """Seeded (graph, assignment) cases where colour counting bites: 8 to 14
+    vertices in at least half as many parts, universes of 6 to 12 colours,
+    and every list half the universe (rounded down)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(8, 14)
+        graph = MultipartiteGraph(rng.choice(list(part_vectors(n, rng.randint(n // 2, n)))))
+        u = rng.randint(6, 12)
+        union = 0
+        while union != (1 << u) - 1:
+            masks = tuple(sum(1 << c for c in rng.sample(range(u), u // 2)) for _ in range(n))
+            union = 0
+            for m in masks:
+                union |= m
+        yield graph, ListAssignment(u, masks)

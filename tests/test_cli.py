@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from lchoose.cli import main
+from lchoose.cli import build_parser, main
 
 
 def run(capsys, argv):
@@ -126,6 +126,20 @@ def test_threads_below_one_are_usage_errors(capsys):
                  ["phi", "-l", "1,1", "--threads", "two"]):
         code, out = run(capsys, argv)
         assert code == 3 and out is None
+
+
+def test_lchoose_threads_is_checked_like_the_flag(capsys, monkeypatch):
+    for value in ("0", "abc"):
+        monkeypatch.setenv("LCHOOSE_THREADS", value)
+        for argv in (["phi", "-l", "2", "--search-up-to", "3"], ["verify", "tuple-audit"]):
+            code, out = run(capsys, argv)
+            assert code == 3 and out is None
+    monkeypatch.setenv("LCHOOSE_THREADS", "2")
+    assert build_parser().parse_args(["verify", "tuple-audit"]).threads == 2
+    code, doc = run(capsys, ["phi", "-l", "2", "--search-up-to", "3"])
+    assert code == 0 and doc["phi"] == 6
+    # the flag still wins over the environment
+    assert build_parser().parse_args(["phi", "-l", "2", "--threads", "1"]).threads == 1
 
 
 def test_gen_lemma1_and_threes(tmp_path, capsys):

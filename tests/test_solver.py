@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import chain
 
@@ -5,8 +6,11 @@ import pytest
 
 from lchoose.assignment import ListAssignment, is_lambda_assignment
 from lchoose.budget import Budget
+from lchoose.bundles import k42_block_sizes
+from lchoose.constructions import build_bad_k42, build_gadget, random_threes_candidate
 from lchoose.graphs import MultipartiteGraph, part_vectors
 from lchoose.lam import Lambda
+from lchoose import solver
 from lchoose.solver import (
     CHOOSABLE,
     INCONCLUSIVE,
@@ -20,6 +24,7 @@ from lchoose.solver import (
 from helpers import (
     colouring_micro_grid,
     colouring_random_corpus,
+    half_list_corpus,
     naive_colouring_exists,
     naive_is_choosable,
 )
@@ -154,3 +159,79 @@ def test_choosable_known_shapes():
         for sizes in part_vectors(n, 2):
             assert is_choosable(MultipartiteGraph(sizes), lam).status == CHOOSABLE
     assert is_choosable(MultipartiteGraph((4, 2)), lam).status == NOT_CHOOSABLE
+
+
+# the solve benchmark's gadgets, plus (1,1,2), which it leaves out for time
+PINNED_GADGETS = ((1, 0, 1), (1, 0, 2), (1, 1, 1), (1, 2, 1), (2, 0, 1), (2, 0, 2),
+                  (2, 1, 1), (2, 2, 1), (3, 0, 1), (1, 1, 2))
+
+
+def _pinned_colouring_cases():
+    yield from colouring_random_corpus(seed=777)
+    yield from half_list_corpus(seed=5, count=600)
+    for sizes in PINNED_GADGETS:
+        inst = build_gadget(*sizes)
+        yield inst.graph, inst.assignment
+    for k in (6, 8):
+        for sizes in k42_block_sizes(k):
+            yield build_bad_k42(k, sizes)
+    rng = random.Random(68)
+    for k in (6, 8):
+        for _ in range(4):
+            cand = random_threes_candidate(k, rng)
+            yield cand.graph, cand.assignment
+
+
+def test_first_colouring_pinned():
+    # the exact first colouring is part of the contract: part order, cover
+    # order and every prune that only cuts failing subtrees leave it alone
+    got = [find_colouring(graph, la) for graph, la in _pinned_colouring_cases()]
+    assert sum(c is not None for c in got) == 6776
+    digest = hashlib.sha256(
+        repr([None if c is None else c.colour_of for c in got]).encode()
+    ).hexdigest()
+    assert digest == "d0e4d45f05cda10a9f38ca13c5c39c8b1e01ebbd4ad476a4109978f0b2e1fc7e"
+
+
+def test_colour_count_agrees_with_subset_dp(monkeypatch):
+    # where the colour-counting bound cuts nodes, the cover search must still
+    # agree with the subset DP, which shares no code with it
+    cut = []
+    count = solver._short_of_colours
+
+    def counted(lists, avail):
+        short = count(lists, avail)
+        cut.append(short)
+        return short
+
+    monkeypatch.setattr(solver, "_short_of_colours", counted)
+    oracles = {}
+    outcomes = []
+    cases_cut = 0
+    for graph, la in half_list_corpus(seed=11, count=400):
+        if graph not in oracles:
+            oracles[graph] = make_colourability_oracle(graph)
+        cut.clear()
+        got = find_colouring(graph, la)
+        cases_cut += any(cut)
+        assert (got is not None) is oracles[graph](la.masks), (graph, la)
+        if got is not None:
+            check_proper(graph, la, got)
+        outcomes.append(got is not None)
+    assert len(outcomes) * 0.25 <= sum(outcomes) <= len(outcomes) * 0.75
+    assert cases_cut >= len(outcomes) * 0.25
+
+
+def test_large_non_colourable_instances_are_refuted():
+    # each took seconds before the colour count (k42 at k=10 close to a
+    # minute); the solve benchmark leaves several out for that reason
+    gadget = build_gadget(1, 1, 2)
+    cases = [(gadget.graph, gadget.assignment)]
+    for k in (8, 10):
+        cases += [build_bad_k42(k, sizes) for sizes in k42_block_sizes(k)]
+    rng = random.Random(10)
+    for _ in range(4):
+        cand = random_threes_candidate(10, rng)
+        cases.append((cand.graph, cand.assignment))
+    for graph, la in cases:
+        assert find_colouring(graph, la) is None, (graph, la)
