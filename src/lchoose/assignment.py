@@ -12,6 +12,8 @@ Symmetries quotiented out by ``canonical_key`` and the enumerator:
   * renaming colours within a quota class,
   * swapping whole classes of equal quota,
   * permuting vertices within a part and swapping equal-size parts.
+``is_lambda_assignment`` opens equal-quota classes in order and keeps same-type
+colours in non-decreasing classes, which leaves its first witness in place.
 
 Both searches below keep per-vertex counters as *packed layers*: one
 integer of n-bit layers, layer j holding the vertices whose count exceeds j.
@@ -27,7 +29,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import compress, permutations, product
 from typing import Iterator
 
 from .budget import Budget
@@ -143,7 +145,11 @@ def is_lambda_assignment(assignment: ListAssignment, lam: Lambda) -> ColourParti
     each list's colours at ``order[pos:]``.  The only prune is the bit test
     ``need & ~supply[pos]``: some vertex needs more colours than it has left.
     Empty classes of equal quota are interchangeable, and quotas ascend, so
-    class i is tried only once class i-1 of the same quota is in use.
+    class i is tried only once class i-1 of the same quota is in use.  Colours
+    of one type are interchangeable too, so none takes a class below the one
+    before it.  This keeps the first witness, the least along ``order`` under
+    the first rule: swapping two same-type colours out of class order in it,
+    then renaming equal-quota classes by first use, would give a smaller one.
     """
     ks = lam.parts
     n = assignment.n
@@ -158,23 +164,31 @@ def is_lambda_assignment(assignment: ListAssignment, lam: Lambda) -> ColourParti
     for c in reversed(order):  # one more colour for every vertex of its type
         supply.append(supply[-1] | (supply[-1] << n | types[c]) & types[c] * wide)
     supply.reverse()
+    # path[1:pos + 1] holds the branch's classes of order[:pos] and path[0] a class-0
+    # sentinel; mate[pos] indexes the previous colour of the same type, or the sentinel
+    path = [0] * (universe + 1)
+    mate, last = [], {}
+    for pos, c in enumerate(order):
+        mate.append(last.get(types[c], 0))
+        last[types[c]] = pos + 1
 
     def rec(pos, owed, need, used):
         if pos == universe:
-            return ()
+            return path[1:]
         s = types[order[pos]]
         have = supply[pos + 1]
-        for i, k in enumerate(ks):
-            if i and k == ks[i - 1] and not used >> i - 1 & 1:
+        for i in range(path[mate[pos]], len(ks)):
+            if i and ks[i] == ks[i - 1] and not used >> i - 1 & 1:
                 continue
             paid = (s & owed[i]) * layers
             left = need & ~paid | need >> n & paid
             if left & ~have:
                 continue
             nxt = owed[:i] + (owed[i] & ~paid | owed[i] >> n & paid,) + owed[i + 1:]
+            path[pos + 1] = i
             rest = rec(pos + 1, nxt, left, used | 1 << i)
             if rest is not None:
-                return (i,) + rest
+                return rest
         return None
 
     need = (1 << lam.total * n) - 1
@@ -285,13 +299,9 @@ Blocks = tuple  # tuple[(quota, tuple[type mask, ...]), ...]
 _LANES: dict[tuple[int, ...], tuple[str, list[int]]] = {}
 
 
-def _encodings(part_sizes: tuple[int, ...], blocks: Blocks) -> Iterator[Blocks]:
-    """Lazily, the encoding of ``blocks`` under each element g of the vertex group.
-
-    g maps every type; then each class's images and the classes are sorted
-    descending.  A type's images under all g at once are the sum of its vertices'
-    lanes (no two vertices meet in a lane), unpacked into an ``array`` of lanes.
-    """
+def _lane_images(part_sizes: tuple[int, ...], blocks: Blocks) -> list[list[array]]:
+    """Per class and type of ``blocks``, an ``array`` of the type's images under
+    every vertex-group element: the sum of its vertices' lanes, unpacked."""
     group = vertex_group(part_sizes)
     n = sum(part_sizes)
     if part_sizes not in _LANES:
@@ -300,17 +310,30 @@ def _encodings(part_sizes: tuple[int, ...], blocks: Blocks) -> Iterator[Blocks]:
                                                    sys.byteorder) for v in range(n)]
     code, lanes = _LANES[part_sizes]
     size = len(group) * array(code).itemsize
-    rows = [[array(code, sum(x for v, x in enumerate(lanes) if m >> v & 1)
+    return [[array(code, sum(x for v, x in enumerate(lanes) if m >> v & 1)
                    .to_bytes(size, sys.byteorder)) for m in ms] for _, ms in blocks]
-    quotas = [k for k, _ in blocks]
-    for cols in zip(*(zip(*r) for r in rows)):  # per g, each class's images
+
+
+def _sorted_lanes(quotas: list[int], rows) -> Iterator[Blocks]:
+    for cols in zip(*(zip(*r) for r in rows)):  # per lane, each class's images
         enc = zip(quotas, (tuple(sorted(c, reverse=True)) for c in cols))
         yield tuple(sorted(enc, reverse=True))
 
 
+def _encodings(part_sizes: tuple[int, ...], blocks: Blocks) -> Iterator[Blocks]:
+    """Lazily, the encoding of ``blocks`` under each element of the vertex group."""
+    return _sorted_lanes([k for k, _ in blocks], _lane_images(part_sizes, blocks))
+
+
 def _canonical_blocks(part_sizes: tuple[int, ...], blocks: Blocks) -> Blocks:
-    """The orbit maximum of ``blocks``: its largest encoding over all lanes."""
-    return max(_encodings(part_sizes, blocks))
+    """The orbit maximum of ``blocks``.  Encodings open with their largest
+    top-quota image, so only the lanes where that image peaks are sorted."""
+    quotas = [k for k, _ in blocks]
+    rows = _lane_images(part_sizes, blocks)
+    tops = [a for k, r in zip(quotas, rows) if k == max(quotas) for a in r]
+    first = tops[0] if len(tops) == 1 else list(map(max, *tops))
+    keep = list(map(max(first).__eq__, first))
+    return max(_sorted_lanes(quotas, [[compress(a, keep) for a in r] for r in rows]))
 
 
 def _blocks_of(assignment: ListAssignment, lam: Lambda, partition: ColourPartition) -> Blocks:

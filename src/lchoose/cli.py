@@ -40,10 +40,12 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _threads(text: str) -> int:
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
-    return int(text)
+def _at_least(low: int):
+    def integer(text: str) -> int:  # argparse reports "invalid integer value"
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+    return integer
 
 
 def _load_json(path: str) -> dict:
@@ -129,7 +131,7 @@ def _cmd_check(args) -> int:
     if verdict.status == NOT_CHOOSABLE:
         print(f"{graph} is not {lam}-choosable; counterexample attached", file=sys.stderr)
         return 1
-    print("budget exhausted before the walk finished", file=sys.stderr)
+    print(f"inconclusive: {verdict.reason}", file=sys.stderr)
     return 2
 
 
@@ -208,8 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="quota multiset, e.g. '1,3' or '2*3'")
     p.add_argument("--search-up-to", type=int, default=None, metavar="N",
                    help="also sweep shapes up to N vertices")
-    p.add_argument("--budget-nodes", type=int, default=None)
-    p.add_argument("--threads", type=_threads, default=os.environ.get("LCHOOSE_THREADS", "1"))
+    p.add_argument("--budget-nodes", type=_at_least(0), default=None)
+    p.add_argument("--threads", type=_at_least(1), default=os.environ.get("LCHOOSE_THREADS", "1"))
     p.set_defaults(func=_cmd_phi)
 
     p = sub.add_parser("solve",
@@ -222,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="decide choosability of a shape")
     p.add_argument("-g", "--graph", required=True)
     p.add_argument("-l", "--lambda", dest="lam", required=True)
-    p.add_argument("--budget-nodes", type=int, default=None)
+    p.add_argument("--budget-nodes", type=_at_least(0), default=None)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("gen",
@@ -233,8 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named evidence bundle")
     p.add_argument("bundle", help="one of: " + ", ".join(sorted(BUNDLES)))
-    p.add_argument("--threads", type=_threads, default=os.environ.get("LCHOOSE_THREADS", "1"))
-    p.add_argument("--budget-nodes", type=int, default=None)
+    p.add_argument("--threads", type=_at_least(1), default=os.environ.get("LCHOOSE_THREADS", "1"))
+    p.add_argument("--budget-nodes", type=_at_least(0), default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_verify)
     return parser

@@ -48,6 +48,7 @@ class Verdict:
     orbits_checked: int
     universe_bound: int
     counterexample: tuple[ListAssignment, ColourPartition] | None = None
+    reason: str | None = None  # why an INCONCLUSIVE run stopped
 
     def to_dict(self) -> dict:
         ce = self.counterexample
@@ -57,6 +58,7 @@ class Verdict:
             "orbits_checked": self.orbits_checked,
             "universe_bound": self.universe_bound,
             "counterexample": assignment_to_dict(*ce) if ce is not None else None,
+            "reason": self.reason,
         }
 
 
@@ -189,15 +191,18 @@ def is_choosable(
     trimmed to an exact one, and trimming cannot create colourings.  The
     enumerator prunes colourable partial states without a solver call, so
     any assignment it yields is a genuine counterexample; the cover search
-    re-checks it here regardless.  Shapes too large for the walk's
-    canonical forms raise ValueError before it starts.
+    re-checks it here regardless.  Shapes whose vertex group is too large
+    for the walk's canonical forms are INCONCLUSIVE before it starts.
     """
-    enum = AssignmentEnumerator(graph, lam, budget, prune_colourable=True)
     universe_bound = graph.n * lam.total
+    try:
+        enum = AssignmentEnumerator(graph, lam, budget, prune_colourable=True)
+    except ValueError as exc:  # the only refusal: the group size
+        return Verdict(INCONCLUSIVE, False, 0, universe_bound, reason=str(exc))
     for la, partition in enum:
         if find_colouring(graph, la) is not None:
             raise RuntimeError("enumerator yielded a colourable assignment")
         return Verdict(NOT_CHOOSABLE, True, enum.orbits_seen, universe_bound, (la, partition))
     if enum.truncated:
-        return Verdict(INCONCLUSIVE, False, enum.orbits_seen, universe_bound)
+        return Verdict(INCONCLUSIVE, False, enum.orbits_seen, universe_bound, reason="budget exhausted")
     return Verdict(CHOOSABLE, True, enum.orbits_seen, universe_bound)

@@ -7,7 +7,13 @@ from __future__ import annotations
 import random
 from itertools import product
 
-from lchoose.assignment import ColourPartition, ListAssignment, canonical_key, vertex_group
+from lchoose.assignment import (
+    ColourPartition,
+    ListAssignment,
+    _colour_types,
+    canonical_key,
+    vertex_group,
+)
 from lchoose.graphs import MultipartiteGraph, part_vectors
 from lchoose.lam import Lambda
 
@@ -195,6 +201,50 @@ def naive_witness_exists(assignment: ListAssignment, lam: Lambda) -> bool:
         if ok:
             return True
     return False
+
+
+def reference_witness(assignment: ListAssignment, lam: Lambda) -> ColourPartition | None:
+    """``is_lambda_assignment`` as it was before colours of one type were
+    made interchangeable: the same search over labelled class sequences, with
+    only the equal-quota first-use rule.  Its first witness is the one the
+    faster search must still return."""
+    ks = lam.parts
+    n = assignment.n
+    universe = assignment.universe_size
+    types = _colour_types(assignment)
+    order = sorted(range(universe), key=lambda c: (-types[c].bit_count(), c))
+    full = (1 << n) - 1
+    # bit 0 of every layer: lam.total layers for the counters, universe for supply
+    layers = ((1 << lam.total * n) - 1) // full
+    wide = ((1 << universe * n) - 1) // full
+    supply = [0]
+    for c in reversed(order):  # one more colour for every vertex of its type
+        supply.append(supply[-1] | (supply[-1] << n | types[c]) & types[c] * wide)
+    supply.reverse()
+
+    def rec(pos, owed, need, used):
+        if pos == universe:
+            return ()
+        s = types[order[pos]]
+        have = supply[pos + 1]
+        for i, k in enumerate(ks):
+            if i and k == ks[i - 1] and not used >> i - 1 & 1:
+                continue
+            paid = (s & owed[i]) * layers
+            left = need & ~paid | need >> n & paid
+            if left & ~have:
+                continue
+            nxt = owed[:i] + (owed[i] & ~paid | owed[i] >> n & paid,) + owed[i + 1:]
+            rest = rec(pos + 1, nxt, left, used | 1 << i)
+            if rest is not None:
+                return (i,) + rest
+        return None
+
+    need = (1 << lam.total * n) - 1
+    choice = None if need & ~supply[0] else rec(0, tuple((1 << k * n) - 1 for k in ks), need, 0)
+    if choice is None:
+        return None
+    return ColourPartition(lam, tuple(i for _, i in sorted(zip(order, choice))))
 
 
 def naive_refines(fine: Lambda, coarse: Lambda) -> bool:

@@ -24,6 +24,7 @@ from helpers import (
     naive_witness_exists,
     random_blocks,
     reference_canonical_blocks,
+    reference_witness,
 )
 
 
@@ -152,6 +153,68 @@ def test_witness_search_pinned_outputs():
             assert is_lambda_assignment(la, Lambda(parts)).class_of == want[sizes, parts]
 
 
+# per total k: the odd quotas (no witness on the k42 or the miss-vector
+# family) and the even quotas (a witness on the k42 family)
+FAMILY_QUOTAS = {
+    4: (((1, 3), (1, 1, 2), (1, 1, 1, 1)), ((2, 2),)),
+    6: (((3, 3), (1, 2, 3), (1, 1, 1, 3)), ((2, 4), (2, 2, 2))),
+    8: (((3, 5), (1, 2, 5), (1, 1, 3, 3)), ((2, 6), (2, 2, 4))),
+}
+
+
+def _repeated_type_assignment(rng, n):
+    """Lists built from 2 to 4 vertex sets, each repeated 1 to 4 times."""
+    while True:
+        types = [rng.randrange(1, 1 << n) for _ in range(rng.randint(2, 4))]
+        cols = [t for t in types for _ in range(rng.randint(1, 4))]
+        rng.shuffle(cols)
+        masks = tuple(sum(1 << c for c, t in enumerate(cols) if t >> v & 1) for v in range(n))
+        if all(masks):
+            return ListAssignment(len(cols), masks)
+
+
+def _repeated_type_cases():
+    from lchoose.bundles import k42_block_sizes
+    from lchoose.constructions import build_bad_k42, random_threes_candidate
+
+    rng = random.Random(4242)
+    for k, (odd, even) in FAMILY_QUOTAS.items():
+        for sizes in k42_block_sizes(k):
+            _, la = build_bad_k42(k, sizes)
+            yield from ((la, Lambda(parts)) for parts in odd + even)
+        for _ in range(3):
+            la = random_threes_candidate(k, rng).assignment
+            yield from ((la, Lambda(parts)) for parts in odd)
+    for _ in range(150):
+        la = _repeated_type_assignment(rng, rng.randint(1, 6))
+        for parts in ((1, 1), (1, 2), (2, 2), (1, 1, 2), (1, 1, 1), (2, 2, 2), (1, 1, 1, 1)):
+            yield la, Lambda(parts)
+
+
+def test_same_type_rule_keeps_the_first_witness():
+    # colours of one type may not descend in class, which must leave the
+    # first witness of the labelled search exactly where it was
+    got = found = 0
+    for la, lam in _repeated_type_cases():
+        want = reference_witness(la, lam)
+        w = is_lambda_assignment(la, lam)
+        assert (w and w.class_of) == (want and want.class_of), (la, lam)
+        got += 1
+        found += w is not None
+    assert got == 1134 and 0 < found < got
+
+
+def test_same_type_rule_agrees_with_brute_force():
+    rng = random.Random(99)
+    for _ in range(120):
+        la = _repeated_type_assignment(rng, rng.randint(1, 4))
+        if la.universe_size > 8:
+            continue
+        for parts in ((1, 1), (1, 2), (1, 1, 1), (2, 2)):
+            lam = Lambda(parts)
+            assert (is_lambda_assignment(la, lam) is not None) == naive_witness_exists(la, lam)
+
+
 def test_trim_to_exact_properties():
     rng = random.Random(77)
     from helpers import naive_colouring_exists
@@ -276,6 +339,25 @@ def test_canonical_blocks_match_the_per_permutation_reference():
 
     for sizes, blocks in _canonical_cases():
         assert _canonical_blocks(sizes, blocks) == reference_canonical_blocks(sizes, blocks)
+
+
+@pytest.mark.parametrize("sizes, blocks", [
+    # a single type in the top-quota class
+    ((2, 2), ((3, (0b0111,)), (1, (0b1001, 0b0110, 0b1100)))),
+    ((3, 3, 3, 1), ((2, (0b1000000001,)), (1, (0b0000111111, 0b1111000000)))),
+    # two classes share the top quota, and the largest image is the second's
+    ((2, 2), ((2, (0b0011,)), (2, (0b1010, 0b1110)), (1, (0b1101,)))),
+    ((3, 3, 3, 1), ((2, (0b0000011011,)), (2, (0b1010011010, 0b1000101011)),
+                    (1, (0b0000001010,)))),
+    # the top-quota types look alike under every element, so a lower-quota
+    # class decides the maximum
+    ((2, 2), ((2, (0b1111, 0b1111)), (1, (0b0001, 0b0110, 0b1000)))),
+    ((3, 3, 3, 1), ((2, (0b1111111111,)), (1, (0b0000000011, 0b0110000100)))),
+])
+def test_canonical_blocks_hand_cases(sizes, blocks):
+    from lchoose.assignment import _canonical_blocks
+
+    assert _canonical_blocks(sizes, blocks) == reference_canonical_blocks(sizes, blocks)
 
 
 def test_leaf_test_agrees_with_the_orbit_maximum():

@@ -202,15 +202,27 @@ def test_missing_file(capsys, tmp_path):
 
 
 def test_oversized_shape_refused_before_the_walk(capsys):
-    # the vertex group of K(10,10) has 10!*10!*2 elements; the refusal must
+    # the vertex group of K(10,10) has 10!*10!*2 elements; the verdict must
     # come before any per-subset work on the 20 vertices
     start = time.perf_counter()
-    code = main(["check", "-g", "10,10", "-l", "2"])
+    code, doc = run(capsys, ["check", "-g", "10,10", "-l", "2"])
     elapsed = time.perf_counter() - start
-    captured = capsys.readouterr()
-    assert code == 3 and captured.out == ""
-    assert "symmetry group too large" in captured.err
+    assert code == 2 and doc["status"] == "INCONCLUSIVE"
+    assert doc["exhaustive"] is False and doc["orbits_checked"] == 0
+    assert "symmetry group too large" in doc["reason"]
     assert elapsed < 1.0
+
+
+def test_budget_nodes_below_zero_are_usage_errors(capsys):
+    for argv in (["phi", "-l", "2", "--search-up-to", "3", "--budget-nodes", "-3"],
+                 ["check", "-g", "2,2", "-l", "2", "--budget-nodes", "-1"],
+                 ["verify", "tuple-audit", "--budget-nodes", "-3"],
+                 ["check", "-g", "2,2", "-l", "2", "--budget-nodes", "many"]):
+        code, out = run(capsys, argv)
+        assert code == 3 and out is None
+    # zero is a budget that stops at the first node
+    code, doc = run(capsys, ["check", "-g", "2,2", "-l", "2", "--budget-nodes", "0"])
+    assert code == 2 and doc["reason"] == "budget exhausted"
 
 
 def test_removed_flags_are_usage_errors(capsys):
