@@ -208,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("phi", help="size formulas for a quota multiset")
     p.add_argument("-l", "--lambda", dest="lam", required=True,
                    help="quota multiset, e.g. '1,3' or '2*3'")
-    p.add_argument("--search-up-to", type=int, default=None, metavar="N",
+    p.add_argument("--search-up-to", type=_at_least(0), default=None, metavar="N",
                    help="also sweep shapes up to N vertices")
     p.add_argument("--budget-nodes", type=_at_least(0), default=None)
     p.add_argument("--threads", type=_at_least(1), default=os.environ.get("LCHOOSE_THREADS", "1"))

@@ -5,7 +5,9 @@ Vertices in different parts must receive different colours, so a proper
 colouring assigns each part a set of colours disjoint from every other
 part's set, with each vertex picking from its own list.  The one-shot search
 below branches over inclusion-minimal colour covers of one part at a time,
-and scales past the 2**n-bit families the orbit walk decides with.  Each
+and scales past the 2**n-bit families the orbit walk decides with.  A part's
+covers are enumerated once per call and each node keeps those inside its
+free colours, which are exactly the covers of the lists cut to them.  Each
 node first counts colours: a part with lists inside a colour set X needs one
 colour of X, or two if those lists share none (Hall's condition, deficiency
 form), and a node whose parts need more than X holds fails unbranched.
@@ -62,29 +64,30 @@ class Verdict:
         }
 
 
-def _minimal_covers(restricted: tuple[int, ...]) -> list[int]:
-    """Inclusion-minimal colour sets covering every mask in ``restricted``.
+def _minimal_covers(masks: tuple[int, ...]) -> list[int]:
+    """Inclusion-minimal colour sets covering every mask in ``masks``.
 
     A cover is minimal iff each of its colours is the only hit of some mask.
-    Returned as bitmasks sorted by (popcount, value) so cheaper covers are
-    tried first.
+    So for any colour set A, those inside A are the minimal covers of the
+    masks cut to A (none if a cut mask is empty), in the same order: bitmasks
+    sorted by (popcount, value), so cheaper covers are tried first.
     """
     found: set[int] = set()
 
     def rec(idx: int, cover: int) -> None:
-        while idx < len(restricted) and restricted[idx] & cover:
+        while idx < len(masks) and masks[idx] & cover:
             idx += 1
-        if idx == len(restricted):
+        if idx == len(masks):
             # drop covers with a redundant colour
             c = cover
             while c:
                 low = c & -c
-                if not any(m & cover == low for m in restricted):
+                if not any(m & cover == low for m in masks):
                     return
                 c ^= low
             found.add(cover)
             return
-        m = restricted[idx]
+        m = masks[idx]
         while m:
             low = m & -m
             rec(idx + 1, cover | low)
@@ -94,7 +97,7 @@ def _minimal_covers(restricted: tuple[int, ...]) -> list[int]:
     return sorted(found, key=lambda c: (c.bit_count(), c))
 
 
-def _short_of_colours(lists: list[list[int]], avail: int) -> bool:
+def _short_of_colours(lists: list[tuple[int, ...]], avail: int) -> bool:
     """Do these parts need more colours of some X than X holds?  X ranges
     over ``avail`` and the lists cut to it (see the module docstring)."""
     rest = [[m & avail for m in part] for part in lists]
@@ -123,7 +126,8 @@ def find_colouring(graph: MultipartiteGraph, assignment: ListAssignment) -> Colo
     remain, a node fails if some X (its free colours, or one list cut to
     them) is short of colours.  Sound: parts take disjoint colour sets, and a
     part with one colour c in X gives c to each vertex whose list lies in X,
-    so c is in all those lists.  The first colouring found is thus unchanged.
+    so c is in all those lists.  Each part's covers come from one enumeration
+    per call, filtered per node.  The first colouring found is thus unchanged.
     """
     if assignment.n != graph.n:
         raise ValueError("assignment and graph disagree on the vertex count")
@@ -134,7 +138,8 @@ def find_colouring(graph: MultipartiteGraph, assignment: ListAssignment) -> Colo
     full = 0
     for m in assignment.masks:
         full |= m
-    lists = [[assignment.masks[v] for v in parts[i]] for i in order] if len(order) > 1 else []
+    lists = [tuple(assignment.masks[v] for v in parts[i]) for i in order]
+    covers: dict[tuple[int, ...], list[int]] = {}  # per part's lists, uncut
 
     def solve(pi: int, avail: int) -> bool:
         if pi == len(order):
@@ -145,15 +150,15 @@ def find_colouring(graph: MultipartiteGraph, assignment: ListAssignment) -> Colo
         if pi + 1 < len(order) and _short_of_colours(lists[pi:], avail):
             memo_fail.add(key)
             return False
-        part = parts[order[pi]]
-        restricted = tuple(assignment.masks[v] & avail for v in part)
-        if all(restricted):
-            for cover in _minimal_covers(restricted):
-                for v, m in zip(part, restricted):
+        masks = lists[pi]
+        if masks not in covers:
+            covers[masks] = _minimal_covers(masks)
+        for cover in covers[masks]:
+            if not cover & ~avail and solve(pi + 1, avail & ~cover):
+                for v, m in zip(parts[order[pi]], masks):
                     pick = m & cover
                     colour_of[v] = (pick & -pick).bit_length() - 1
-                if solve(pi + 1, avail & ~cover):
-                    return True
+                return True
         memo_fail.add(key)
         return False
 

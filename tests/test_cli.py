@@ -225,6 +225,15 @@ def test_budget_nodes_below_zero_are_usage_errors(capsys):
     assert code == 2 and doc["reason"] == "budget exhausted"
 
 
+def test_search_up_to_below_zero_is_a_usage_error(capsys):
+    for argv in (["phi", "-l", "2", "--search-up-to", "-1"],
+                 ["phi", "-l", "2", "--search-up-to", "six"]):
+        code, out = run(capsys, argv)
+        assert code == 3 and out is None
+    code, doc = run(capsys, ["phi", "-l", "2", "--search-up-to", "0"])
+    assert code == 0 and doc["search"]["n_max"] == 0
+
+
 def test_removed_flags_are_usage_errors(capsys):
     code, _ = run(capsys, ["check", "-g", "2,2", "-l", "2", "--threads", "2"])
     assert code == 3

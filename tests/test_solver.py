@@ -235,3 +235,51 @@ def test_large_non_colourable_instances_are_refuted():
         cases.append((cand.graph, cand.assignment))
     for graph, la in cases:
         assert find_colouring(graph, la) is None, (graph, la)
+
+
+def _brute_minimal_covers(masks, universe):
+    hitting = [c for c in range(1 << universe) if all(m & c for m in masks)]
+    minimal = [c for c in hitting if not any(d != c and d & c == d for d in hitting)]
+    return sorted(minimal, key=lambda c: (c.bit_count(), c))
+
+
+def test_minimal_covers_filter_by_free_colours():
+    # a minimal cover of the lists cut to avail is exactly a minimal cover of
+    # the uncut lists that lies inside avail, in the same order: this lets the
+    # cover search enumerate a part once and filter at every node
+    rng = random.Random(808)
+    checked = 0
+    for _ in range(3000):
+        universe = rng.randint(1, 10)
+        full = (1 << universe) - 1
+        masks = tuple(rng.randint(1, full) for _ in range(rng.randint(1, 5)))
+        covers = solver._minimal_covers(masks)
+        if universe <= 8:
+            assert covers == _brute_minimal_covers(masks, universe), masks
+        avail = rng.randint(0, full)
+        cut = tuple(m & avail for m in masks)
+        if all(cut):
+            assert [c for c in covers if not c & ~avail] == solver._minimal_covers(cut)
+            checked += 1
+        else:
+            assert not [c for c in covers if not c & ~avail]
+    assert checked > 1000
+
+
+@pytest.mark.parametrize("sizes", [(3, 2, 1), (1, 3, 1), (1, 0, 3)])
+def test_larger_gadgets_are_refuted(sizes, monkeypatch):
+    # (3,2,1) has 32 vertices; (2,2,2) is left out for time.  Each part's
+    # covers are enumerated once per call, and identical parts share them.
+    enumerated = []
+    enumerate_covers = solver._minimal_covers
+
+    def counted(masks):
+        enumerated.append(masks)
+        return enumerate_covers(masks)
+
+    monkeypatch.setattr(solver, "_minimal_covers", counted)
+    gadget = build_gadget(*sizes)
+    graph, la = gadget.graph, gadget.assignment
+    assert find_colouring(graph, la) is None
+    distinct = {tuple(la.masks[v] for v in part) for part in graph.parts}
+    assert 0 < len(enumerated) == len(set(enumerated)) <= len(distinct)

@@ -2,10 +2,12 @@
 
 ``data/verdicts.json`` holds one record per cell of the criterion-8 sweep:
 every k-part shape on at most 6 vertices, for each quota multiset of total
-k = 2 or 3.  Each record keeps the status, the number of orbits the walk
-checked and the canonical key of the counterexample.  The corpus was written
-by the cover-search oracle walk, before the subset-DP prune replaced it, and
-every later version of the walk must reproduce it exactly.
+k = 2 or 3, then the total-4 cells on at most 5 vertices, (1,1,1,1) and
+(2,1,1,1) for each quota multiset of total 4.  Each record keeps the status,
+the number of orbits the walk checked and the canonical key of the
+counterexample.  The totals 2 and 3 were written by the cover-search oracle
+walk, before the subset-DP prune replaced it, and the total-4 cells by the
+subset-DP walk; every later version of the walk must reproduce them exactly.
 
 Regenerate only on purpose (for example when the corpus grows new cells):
 ``PYTHONPATH=src python tests/test_verdicts.py``.
@@ -24,14 +26,16 @@ from lchoose.solver import INCONCLUSIVE, NOT_CHOOSABLE, is_choosable
 
 CORPUS = Path(__file__).parent / "data" / "verdicts.json"
 LAMBDAS = ((2,), (1, 1), (3,), (1, 2), (1, 1, 1))
+TOTAL_4_LAMBDAS = ((4,), (2, 2), (1, 3), (1, 1, 2))
 
 
 def _cells():
-    for parts in LAMBDAS:
-        k = sum(parts)
-        for n in range(k, 7):
-            for sizes in part_vectors(n, k):
-                yield sizes, parts
+    for lambdas, n_max in ((LAMBDAS, 6), (TOTAL_4_LAMBDAS, 5)):
+        for parts in lambdas:
+            k = sum(parts)
+            for n in range(k, n_max + 1):
+                for sizes in part_vectors(n, k):
+                    yield sizes, parts
 
 
 def _record(sizes, parts) -> dict:
