@@ -14,6 +14,9 @@ Symmetries quotiented out by ``canonical_key`` and the enumerator:
   * permuting vertices within a part and swapping equal-size parts.
 ``is_lambda_assignment`` opens equal-quota classes in order and keeps same-type
 colours in non-decreasing classes, which leaves its first witness in place.
+The enumerator yields only orbit maxima, and cuts a class prefix p as soon as
+a generator g of the vertex group gives ``sorted(g(p), reverse=True) > p``:
+every class holding p then has a larger image too, so no maximum lies below.
 
 Both searches below keep per-vertex counters as *packed layers*: one
 integer of n-bit layers, layer j holding the vertices whose count exceeds j.
@@ -292,6 +295,25 @@ def vertex_group(part_sizes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(perms)
 
 
+def _generators(part_sizes: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Generators of ``vertex_group(part_sizes)`` as delta swaps ``(mask, shift)``.
+
+    One adjacent transposition per neighbouring pair of vertices in a part,
+    and one swap per pair of neighbouring equal-size parts.  A swap exchanges
+    the bits of ``mask`` with those ``shift`` places above them: with
+    ``d = (x >> shift ^ x) & mask`` the image of the vertex set x is
+    ``x ^ d ^ d << shift``.  Needs no table over the 2^n vertex sets.
+    """
+    gens = []
+    start = 0
+    for i, size in enumerate(part_sizes):
+        gens += [(1 << v, 1) for v in range(start, start + size - 1)]
+        if part_sizes[i + 1:i + 2] == (size,):
+            gens.append((((1 << size) - 1) << start, size))
+        start += size
+    return gens
+
+
 Blocks = tuple  # tuple[(quota, tuple[type mask, ...]), ...]
 
 
@@ -386,6 +408,20 @@ class AssignmentEnumerator:
     no group element maps its encoding to a larger one (the test stops at the
     first that does), so it *is* the orbit maximum: exactly once per orbit.
 
+    Inside the walk, a prefix p of a class (non-increasing types) is cut, with
+    everything below it, when some generator g from ``_generators`` gives
+    ``sorted(g(p), reverse=True) > p``.  The first class is checked by every
+    generator, each later class only by the generators that map every
+    finished class onto itself.  This is a lex-leader condition (Crawford,
+    Ginsberg, Luks & Roy, KR 1996): adding types to p only raises the top
+    order statistics of its image, so the whole class C has a larger image
+    too, and g, fixing the classes before C, maps the leaf's encoding to a
+    larger one.  No orbit maximum is lost, the leaf test still decides which
+    leaves are yielded, and the stream and its order are unchanged; only
+    labelled nodes that lead to no yield are skipped.  Each node carries, per
+    generator, the sorted image of its class prefix, and a child's images
+    are its parent's with one type inserted.
+
     With ``prune_colourable`` set, subtrees whose partial lists already admit
     a proper colouring are skipped: completions only add colours, so
     everything below stays colourable.  Leaves that are themselves colourable
@@ -440,8 +476,9 @@ class AssignmentEnumerator:
         layers = sum(1 << j * n for j in range(quotas[0]))
         # a family holds the sets the placed colours can colour (EMPTY unpruned)
         add = ColourableSets(G).add if self.prune else lambda family, s: family
+        start = ()  # every class opens with this prefix; ``img is cls`` tests for it
 
-        def grow(ci, done, cls, owed, family, bound):
+        def grow(ci, done, cls, owed, family, gens, images, bound):
             if not tick():
                 self.truncated = True
                 return
@@ -451,7 +488,11 @@ class AssignmentEnumerator:
                 if ci + 1 < len(quotas):
                     k = quotas[ci + 1]
                     bound = cls if quotas[ci] == k else None
-                    yield from grow(ci + 1, done, (), (1 << k * n) - 1, family, bound)
+                    # later classes are checked only by the generators
+                    # fixing every finished class
+                    gens = [g for g, img in zip(gens, images) if img == cls]
+                    yield from grow(ci + 1, done, start, (1 << k * n) - 1, family,
+                                    gens, [start] * len(gens), bound)
                     return
                 blocks = tuple(zip(quotas, done))
                 # orbit maximum iff no group element gives a larger image
@@ -479,15 +520,35 @@ class AssignmentEnumerator:
                     # any vertex still owed colours needs a later type of
                     # value >= 2**v, and later types are capped by s
                     if not left or 1 << left.bit_length() - 1 <= s:
-                        yield from grow(
-                            ci, done, cls + (s,), nxt, add(family, s),
-                            bound if bound is not None and s == bound[pos] else None,
-                        )
-                        if self.truncated:
-                            return
+                        # lex-leader cut: no orbit maximum lies below a
+                        # prefix that some generator maps to a larger one
+                        p = cls + (s,)
+                        lifted = []
+                        for (mask, shift), img in zip(gens, images):
+                            d = (s >> shift ^ s) & mask
+                            t = s ^ d ^ d << shift
+                            # g fixes cls, and s <= cls[-1]: g lifts p iff t > s
+                            if img is cls:
+                                if t > s:
+                                    break
+                                lifted.append(p if t == s else cls + (t,))
+                                continue
+                            b = tuple(sorted(img + (t,), reverse=True))
+                            if b > p:
+                                break
+                            lifted.append(b)
+                        else:
+                            yield from grow(
+                                ci, done, p, nxt, add(family, s), gens, lifted,
+                                bound if bound is not None and s == bound[pos] else None,
+                            )
+                            if self.truncated:
+                                return
                 s = (s - 1) & rem
 
-        yield from grow(0, (), (), (1 << quotas[0] * n) - 1, ColourableSets.EMPTY, None)
+        gens = _generators(part_sizes)
+        yield from grow(0, (), start, (1 << quotas[0] * n) - 1, ColourableSets.EMPTY,
+                        gens, [start] * len(gens), None)
 
 
 def enumerate_lambda_assignments(

@@ -261,6 +261,36 @@ def test_vertex_group_orders():
         vertex_group((4, 4, 4, 4, 4))
 
 
+@pytest.mark.parametrize("sizes", [(5, 1), (3, 3), (2, 2, 2), (4, 2, 2, 1), (1, 1, 1, 1)])
+def test_walk_generators_generate_the_vertex_group(sizes):
+    # the lex-leader cut is sound only for elements of the group, and its
+    # generators should reach all of it
+    from lchoose.assignment import _generators
+
+    n = sum(sizes)
+
+    def image(x, mask, shift):
+        d = (x >> shift ^ x) & mask
+        return x ^ d ^ d << shift
+
+    # vertex v goes to the bit its singleton lands on
+    gens = [tuple(image(1 << v, mask, shift).bit_length() - 1 for v in range(n))
+            for mask, shift in _generators(sizes)]
+    group = set(vertex_group(sizes))
+    assert set(gens) <= group
+    adjacent_equal = sum(a == b for a, b in zip(sizes, sizes[1:]))
+    assert len(gens) == n - len(sizes) + adjacent_equal
+    closure, frontier = {tuple(range(n))}, [tuple(range(n))]
+    while frontier:
+        p = frontier.pop()
+        for g in gens:
+            q = tuple(g[v] for v in p)
+            if q not in closure:
+                closure.add(q)
+                frontier.append(q)
+    assert closure == group
+
+
 def scramble(G, lam, la, part, rng):
     """Apply a random symmetry; the canonical key must not move."""
     # vertex permutation preserving parts and part sizes
@@ -438,6 +468,28 @@ def test_enumerator_hits_every_orbit_once(sizes, parts, count):
     assert len(keys) == count == enum.orbits_seen
     head = STREAM_HEADS.get((sizes, parts), [])
     assert masks[: len(head)] == head
+
+
+# per cell, the orbit count and the sha256 of the unpruned stream's canonical
+# keys in stream order: a prune that drops a canonical leaf or reorders the
+# stream changes the digest
+PINNED_STREAMS = [
+    ((4, 2), (2,), 1306, "c6332a33b08130487d0042ebd8bcdad427bd08b053921659f9a15d77155143da"),
+    ((5, 1), (2,), 664, "31ad69b9b888a6c3392ba09c864dc6350b9eaec4cca72eb6f5492b220bb88257"),
+    ((3, 3), (2,), 854, "2971a8560e31d54426e8c60df8dd39dd87e6f64995d9383b188dbd5565759a13"),
+    ((2, 2, 1), (3,), 5417, "5b23da425457f93862abe617cb60e2996f9aa5ad887b9c7926fb8cada515ab45"),
+]
+
+
+@pytest.mark.parametrize("sizes, parts, count, digest", PINNED_STREAMS)
+def test_unpruned_stream_pinned(sizes, parts, count, digest):
+    import hashlib
+
+    G, lam = MultipartiteGraph(sizes), Lambda(parts)
+    enum = AssignmentEnumerator(G, lam)
+    keys = [canonical_key(la, G, lam, part) for la, part in enum]
+    assert (len(keys), enum.orbits_seen, enum.truncated) == (count, count, False)
+    assert hashlib.sha256(b"\n".join(keys)).hexdigest() == digest
 
 
 def test_enumerator_budget_truncates():

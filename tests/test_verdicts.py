@@ -1,13 +1,16 @@
 """Replay of the frozen verdict corpus.
 
-``data/verdicts.json`` holds one record per cell of the criterion-8 sweep:
-every k-part shape on at most 6 vertices, for each quota multiset of total
-k = 2 or 3, then the total-4 cells on at most 5 vertices, (1,1,1,1) and
-(2,1,1,1) for each quota multiset of total 4.  Each record keeps the status,
-the number of orbits the walk checked and the canonical key of the
+``data/verdicts.json`` holds one record per cell: first the criterion-8
+sweep, every k-part shape on at most 6 vertices for each quota multiset of
+total k = 2 or 3; then the total-4 cells on at most 5 vertices, (1,1,1,1)
+and (2,1,1,1) for each quota multiset of total 4; then the three-part shapes
+on 7 vertices for the quotas (1,2) and (1,1,1).  Each record keeps the
+status, the number of orbits the walk checked and the canonical key of the
 counterexample.  The totals 2 and 3 were written by the cover-search oracle
-walk, before the subset-DP prune replaced it, and the total-4 cells by the
-subset-DP walk; every later version of the walk must reproduce them exactly.
+walk, before the subset-DP prune replaced it, the total-4 cells by the
+subset-DP walk, and the 7-vertex cells by the walk as it stood before the
+lex-leader cut of its first class; every later version of the walk must
+reproduce them exactly.
 
 Regenerate only on purpose (for example when the corpus grows new cells):
 ``PYTHONPATH=src python tests/test_verdicts.py``.
@@ -27,6 +30,7 @@ from lchoose.solver import INCONCLUSIVE, NOT_CHOOSABLE, is_choosable
 CORPUS = Path(__file__).parent / "data" / "verdicts.json"
 LAMBDAS = ((2,), (1, 1), (3,), (1, 2), (1, 1, 1))
 TOTAL_4_LAMBDAS = ((4,), (2, 2), (1, 3), (1, 1, 2))
+SEVEN_VERTEX_LAMBDAS = ((1, 2), (1, 1, 1))
 
 
 def _cells():
@@ -36,6 +40,9 @@ def _cells():
             for n in range(k, n_max + 1):
                 for sizes in part_vectors(n, k):
                     yield sizes, parts
+    for parts in SEVEN_VERTEX_LAMBDAS:
+        for sizes in part_vectors(7, 3):
+            yield sizes, parts
 
 
 def _record(sizes, parts) -> dict:
@@ -88,11 +95,11 @@ ANCHOR_COUNTEREXAMPLES = {
 @pytest.mark.parametrize(
     "sizes, parts, status, nodes, orbits",
     [
-        ((4, 2), (2,), NOT_CHOOSABLE, 19_746, 81),
-        ((2, 2, 2), (1, 2), "CHOOSABLE", 138_935, 95),
+        ((4, 2), (2,), NOT_CHOOSABLE, 1_422, 81),
+        ((2, 2, 2), (1, 2), "CHOOSABLE", 7_472, 95),
         # a truncated walk: the budget is one node short of the count,
         # because the tick that overruns it is counted too
-        ((2, 2, 2), (1, 2), INCONCLUSIVE, 5_001, 14),
+        ((2, 2, 2), (1, 2), INCONCLUSIVE, 5_001, 74),
     ],
 )
 def test_walk_node_anchors(sizes, parts, status, nodes, orbits):
