@@ -135,13 +135,20 @@ def _cmd_check(args) -> int:
     return 2
 
 
+def _integer(value, field: str) -> int:
+    if type(value) is not int:  # bool is an int subclass, and int() would floor floats
+        raise ValueError(f"manifest field {field!r} must be an integer, got {value!r}")
+    return value
+
+
 def _cmd_gen(args) -> int:
     manifest = _load_json(args.manifest)
+    if not isinstance(manifest, dict):
+        print("manifest must be a JSON object", file=sys.stderr)
+        return USAGE_ERROR
     family = manifest.get("family")
     if family == "lemma1":
-        inst = build_gadget(
-            int(manifest["ones"]), int(manifest["twos"]), int(manifest["threes"])
-        )
+        inst = build_gadget(*(_integer(manifest[f], f) for f in ("ones", "twos", "threes")))
         docs = [
             {
                 "graph": inst.graph.text(),
@@ -149,13 +156,15 @@ def _cmd_gen(args) -> int:
             }
         ]
     elif family == "k42":
-        k = int(manifest["k"])
-        sizes = tuple(int(x) for x in manifest["sizes"])
-        graph, assignment = build_bad_k42(k, sizes)
+        k = _integer(manifest["k"], "k")
+        sizes = manifest["sizes"]
+        if not isinstance(sizes, list):
+            raise ValueError(f"manifest field 'sizes' must be a list, got {sizes!r}")
+        graph, assignment = build_bad_k42(k, tuple(_integer(x, "sizes") for x in sizes))
         docs = [{"graph": graph.text(), **assignment_to_dict(assignment)}]
     elif family == "threes":
-        k = int(manifest["k"])
-        count = int(manifest.get("count", 1))
+        k = _integer(manifest["k"], "k")
+        count = _integer(manifest.get("count", 1), "count")
         if count < 1:
             print(f"threes count must be at least 1, got {count}", file=sys.stderr)
             return USAGE_ERROR

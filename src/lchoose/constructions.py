@@ -15,6 +15,7 @@ from itertools import permutations
 from .assignment import (
     ColourPartition,
     ListAssignment,
+    _check_group,
     canonical_key,
     is_lambda_assignment,
 )
@@ -323,20 +324,52 @@ def _balanced_vectors(u: int, half: int):
     yield from rec([], [half, half, half])
 
 
+def _first_use(row: tuple[int, ...]) -> tuple[int, ...]:
+    """``row`` with its symbols renamed in order of first appearance."""
+    names: dict[int, int] = {}
+    return tuple(names.setdefault(x, len(names)) for x in row)
+
+
+def _miss_normal_form(rows: tuple[tuple[int, ...], ...], half: int) -> tuple[tuple[int, ...], ...]:
+    """A representative of the unpinned miss vectors ``rows`` under cheap symmetries.
+
+    Renames each row's symbols in order of first appearance, sorts the
+    colour columns inside each base block (colours ``b*half .. (b+1)*half-1``),
+    renames the symbols again and sorts the rows.  Each step is a group
+    element of the candidate built from ``rows``: a renaming permutes one
+    triple part's vertices; a column sort renames colours inside the blocks,
+    on which the pinned base row is constant and of which the singleton lists
+    are the union of blocks 0 and 1; a row sort swaps unpinned triple parts.
+    Equal normal forms therefore mean one orbit; unequal ones may not.
+    """
+    cols = list(zip(*map(_first_use, rows)))
+    cols = [c for b in range(0, 3 * half, half) for c in sorted(cols[b:b + half])]
+    return tuple(sorted(map(_first_use, zip(*cols))))
+
+
 class ThreesFamilyEnumerator:
     """Budgeted walk over the miss-vector family, one candidate per orbit.
 
     The first part's miss vector is pinned to the sorted base vector, which
-    is legitimate because renaming colours can always sort it; remaining
-    symmetry is quotiented by canonical keys.  Singleton lists are fixed to
-    the full-universe k-subset family's first element pattern (lowest k
-    colours) to keep the family finite at small k; the counting argument
-    above is indifferent to the singleton lists.
+    is legitimate because renaming colours can always sort it; the remaining
+    rows run over all balanced vectors.  Each row tuple first goes through
+    ``_miss_normal_form``, a few group elements that fix the base row and the
+    singleton lists; a tuple whose normal form was seen before lies in the
+    orbit of an earlier tuple and is skipped without a canonical key.  The
+    others get a full ``canonical_key``, and a candidate is yielded when that
+    key is new.  The first tuple of every orbit in iteration order always
+    reaches its key, so the yielded candidates, their order, ``truncated``
+    and the budget's node count are those of a walk that keys every tuple.
+    Singleton lists are fixed to the lowest k colours to keep the family
+    finite; the counting argument above is indifferent to them.  Totals
+    whose vertex group is too large for canonical keys (k >= 8) raise
+    ValueError at once.
     """
 
     def __init__(self, k: int, budget: Budget | None = None):
         if k < 2 or k % 2:
             raise ValueError("total quota must be even and at least 2")
+        _check_group((3,) * (k // 2 + 1) + (1,) * (k // 2 - 1))
         self.k = k
         self.budget = budget if budget is not None else Budget()
         self.truncated = False
@@ -351,7 +384,7 @@ class ThreesFamilyEnumerator:
         singleton = (1 << k) - 1
         singles = tuple([singleton] * (half - 1))
         lam = Lambda((k,))
-        seen_rows: set[tuple] = set()
+        seen_forms: set[tuple] = set()
         seen: set[bytes] = set()
         graph = MultipartiteGraph((3,) * (half + 1) + (1,) * (half - 1))
         partition = ColourPartition(lam, (0,) * u)
@@ -360,12 +393,10 @@ class ThreesFamilyEnumerator:
             if not self.budget.tick():
                 self.truncated = True
                 return
-            # unpinned triple parts may swap freely, so their row multiset
-            # is a cheap first quotient before the full canonical key
-            rkey = tuple(sorted(rows))
-            if rkey in seen_rows:
+            form = _miss_normal_form(rows, half)
+            if form in seen_forms:
                 continue
-            seen_rows.add(rkey)
+            seen_forms.add(form)
             cand = ThreesBadCandidate(k, (base,) + tuple(rows), singles)
             key = canonical_key(cand.assignment, graph, lam, partition)
             if key in seen:

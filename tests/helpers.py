@@ -14,6 +14,8 @@ from lchoose.assignment import (
     canonical_key,
     vertex_group,
 )
+from lchoose.budget import Budget
+from lchoose.constructions import ThreesBadCandidate, _balanced_vectors
 from lchoose.graphs import MultipartiteGraph, part_vectors
 from lchoose.lam import Lambda
 
@@ -160,6 +162,42 @@ def reference_canonical_blocks(part_sizes: tuple[int, ...], blocks: tuple) -> tu
         if best is None or enc > best:
             best = enc
     return best
+
+
+def reference_threes_family(k: int, budget: Budget) -> tuple[list[ThreesBadCandidate], bool]:
+    """The miss-vector enumeration with a full canonical key for every row
+    tuple whose row multiset is new: the candidates in order, and whether
+    ``budget`` cut the walk short."""
+    from itertools import product as iproduct
+
+    half = k // 2
+    u = 3 * half
+    base = tuple(sorted([0, 1, 2] * half))
+    singleton = (1 << k) - 1
+    singles = tuple([singleton] * (half - 1))
+    lam = Lambda((k,))
+    seen_rows: set[tuple] = set()
+    seen: set[bytes] = set()
+    graph = MultipartiteGraph((3,) * (half + 1) + (1,) * (half - 1))
+    partition = ColourPartition(lam, (0,) * u)
+    vecs = list(_balanced_vectors(u, half))
+    found = []
+    for rows in iproduct(vecs, repeat=half):
+        if not budget.tick():
+            return found, True
+        # unpinned triple parts may swap freely, so their row multiset
+        # is a cheap first quotient before the full canonical key
+        rkey = tuple(sorted(rows))
+        if rkey in seen_rows:
+            continue
+        seen_rows.add(rkey)
+        cand = ThreesBadCandidate(k, (base,) + tuple(rows), singles)
+        key = canonical_key(cand.assignment, graph, lam, partition)
+        if key in seen:
+            continue
+        seen.add(key)
+        found.append(cand)
+    return found, False
 
 
 def random_blocks(rng: random.Random, n: int, classes: int, most: int) -> tuple:

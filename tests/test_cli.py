@@ -171,6 +171,35 @@ def test_gen_threes_rejects_nonpositive_count(tmp_path, capsys, count):
     assert "count" in err
 
 
+@pytest.mark.parametrize("manifest", [
+    [1, 2],
+    "threes",
+    {"family": "threes", "k": 2, "count": True},
+    {"family": "threes", "k": 4.7},
+    {"family": "threes", "k": "4"},
+    {"family": "lemma1", "ones": 1, "twos": 0, "threes": 1.0},
+    {"family": "k42", "k": 2, "sizes": [1, False, 1]},
+    {"family": "k42", "k": 2, "sizes": 7},
+])
+def test_gen_rejects_malformed_manifests(tmp_path, capsys, manifest):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(manifest))
+    assert main(["gen", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "manifest" in err and "Traceback" not in err
+
+
+def test_gen_threes_refuses_large_groups_at_once(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"family": "threes", "k": 12, "count": 1}))
+    start = time.perf_counter()
+    assert main(["gen", str(path)]) == 3
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and "symmetry group too large" in err
+
+
 def test_verify_bundle(tmp_path, capsys):
     out = tmp_path / "bundle.json"
     code, doc = run(capsys, ["verify", "tuple-audit", "--out", str(out)])

@@ -1,14 +1,22 @@
 import dataclasses
+import hashlib
 import random
 
 import pytest
 
-from lchoose.assignment import ListAssignment, is_lambda_assignment, quota_counts
+from lchoose.assignment import (
+    ColourPartition,
+    ListAssignment,
+    canonical_key,
+    is_lambda_assignment,
+    quota_counts,
+)
 from lchoose.budget import Budget
 from lchoose.constructions import (
     StructureError,
     ThreesBadCandidate,
     ThreesFamilyEnumerator,
+    _miss_normal_form,
     _recognize_k42,
     _recognize_threes,
     build_bad_k42,
@@ -22,7 +30,7 @@ from lchoose.graphs import MultipartiteGraph
 from lchoose.lam import Lambda
 from lchoose.solver import find_colouring
 
-from helpers import naive_colouring_exists, naive_witness_exists
+from helpers import naive_colouring_exists, naive_witness_exists, reference_threes_family
 
 
 GRID = [(1, 0, 1), (1, 1, 1), (2, 0, 1)]
@@ -172,6 +180,54 @@ def test_threes_enumerator_small():
     some = list(lim)
     assert lim.truncated
     assert all(find_colouring(c.graph, c.assignment) is None for c in some)
+
+
+@pytest.mark.parametrize("k,rows", [(2, None), (4, 50), (4, 200), (4, 2_000)])
+def test_threes_enumerator_matches_reference(k, rows):
+    # the normal form skips only row tuples of orbits already met, so the
+    # stream equals the one that keys every tuple, budget accounting included
+    enum = ThreesFamilyEnumerator(k, Budget(max_nodes=rows))
+    got = [(c.miss, c.singleton_lists) for c in enum]
+    ref_budget = Budget(max_nodes=rows)
+    ref, truncated = reference_threes_family(k, ref_budget)
+    assert got == [(c.miss, c.singleton_lists) for c in ref]
+    assert enum.truncated == truncated == (rows is not None)
+    assert enum.budget.nodes == ref_budget.nodes
+
+
+@pytest.mark.parametrize("k,count", [(4, 40), (6, 8)])
+def test_miss_normal_form_stays_in_the_orbit(k, count):
+    half = k // 2
+    base = tuple(sorted([0, 1, 2] * half))
+    singles = ((1 << k) - 1,) * (half - 1)
+    lam = Lambda((k,))
+    partition = ColourPartition(lam, (0,) * (3 * half))
+    rng = random.Random(k)
+
+    def key(rows):
+        cand = ThreesBadCandidate(k, (base,) + rows, singles)
+        return canonical_key(cand.assignment, cand.graph, lam, partition)
+
+    for _ in range(count):
+        rows = tuple(tuple(rng.sample([0, 1, 2] * half, 3 * half)) for _ in range(half))
+        assert key(_miss_normal_form(rows, half)) == key(rows)
+
+
+def test_threes_enumerator_k6_pinned():
+    # digest of the (miss, singleton_lists) stream of a walk that keyed every row
+    enum = ThreesFamilyEnumerator(6, Budget(max_nodes=300))
+    got = [(c.miss, c.singleton_lists) for c in enum]
+    assert len(got) == 7 and enum.truncated and enum.budget.nodes == 301
+    digest = hashlib.sha256(repr(got).encode()).hexdigest()
+    assert digest == "76ba2557401f0e613a26ed7535f3ce2849ccabd8c380232f693c05618e88e77b"
+
+
+@pytest.mark.parametrize("k", [8, 12])
+def test_threes_enumerator_refuses_large_groups_at_once(k):
+    # K(3,3,3,3,3,1,1,1) already has 5,598,720 vertex symmetries; the check
+    # must come before any balanced vector is built
+    with pytest.raises(ValueError, match="symmetry group too large"):
+        ThreesFamilyEnumerator(k)
 
 
 def test_threes_enumerator_rejects_odd():
