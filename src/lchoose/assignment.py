@@ -14,6 +14,9 @@ Symmetries quotiented out by ``canonical_key`` and the enumerator:
   * permuting vertices within a part and swapping equal-size parts.
 ``is_lambda_assignment`` opens equal-quota classes in order and keeps same-type
 colours in non-decreasing classes, which leaves its first witness in place.
+Before it searches, it refutes by parity: a witness meets every list of exactly
+``lam.total`` colours in exactly ``k_i`` colours of class i, a linear system
+over GF(2) per class, and an inconsistent one leaves no witness to find.
 The enumerator yields only orbit maxima, and cuts a class prefix p as soon as
 a generator g of the vertex group gives ``sorted(g(p), reverse=True) > p``:
 every class holding p then has a larger image too, so no maximum lies below.
@@ -135,6 +138,31 @@ def _colour_types(assignment: ListAssignment) -> list[int]:
             for c in range(assignment.universe_size)]
 
 
+def _parity_blocked(masks: tuple[int, ...], lam: Lambda) -> bool:
+    """Is some quota's GF(2) system on the tight lists inconsistent?
+
+    A list is tight when it holds exactly ``lam.total`` colours; a witness
+    meets it in exactly ``k_i`` colours of class i, so the indicator of class
+    i solves ``sum(x[c] for c in L) = k_i`` mod 2 over the tight lists L.
+    Gaussian elimination of the lists, as bitmasks above one parity bit
+    ``k_i & 1`` per class, blocks a witness once some row loses every
+    colour but keeps a parity bit.  All quotas even: never blocked.
+    """
+    q = lam.size
+    rhs = sum((k & 1) << i for i, k in enumerate(lam.parts))
+    basis: dict[int, int] = {}  # pivot (top bit) -> reduced row
+    for m in masks:
+        if m.bit_count() == lam.total:
+            row = m << q | rhs
+            while row >> q and row.bit_length() in basis:
+                row ^= basis[row.bit_length()]
+            if row >> q:
+                basis[row.bit_length()] = row
+            elif row:
+                return True
+    return False
+
+
 def is_lambda_assignment(assignment: ListAssignment, lam: Lambda) -> ColourPartition | None:
     """Search for a partition of the universe witnessing the quotas.
 
@@ -145,8 +173,13 @@ def is_lambda_assignment(assignment: ListAssignment, lam: Lambda) -> ColourParti
     exists.  Each node gets its state from its parent as packed counters (see
     the module note): ``owed[i]`` counts the class-i colours each vertex still
     needs and ``need`` their sum, while ``supply[pos]``, built once, counts
-    each list's colours at ``order[pos:]``.  The only prune is the bit test
-    ``need & ~supply[pos]``: some vertex needs more colours than it has left.
+    each list's colours at ``order[pos:]``.  The search prunes with one bit
+    test, ``need & ~supply[pos]``: some vertex needs more colours than it has
+    left.  Before any of this is built, ``_parity_blocked`` may refute the
+    quotas: a list of exactly ``lam.total`` colours meets a witness in exactly
+    ``k_i`` colours of class i, so an inconsistent GF(2) system on those lists
+    leaves nothing to find.  It refutes only what the search would, so every
+    witness is unchanged.
     Empty classes of equal quota are interchangeable, and quotas ascend, so
     class i is tried only once class i-1 of the same quota is in use.  Colours
     of one type are interchangeable too, so none takes a class below the one
@@ -154,6 +187,8 @@ def is_lambda_assignment(assignment: ListAssignment, lam: Lambda) -> ColourParti
     the first rule: swapping two same-type colours out of class order in it,
     then renaming equal-quota classes by first use, would give a smaller one.
     """
+    if _parity_blocked(assignment.masks, lam):
+        return None
     ks = lam.parts
     n = assignment.n
     universe = assignment.universe_size

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -48,6 +49,16 @@ def _at_least(low: int):
     return integer
 
 
+def _seconds(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not value >= 0:  # refuses nan too
+        raise argparse.ArgumentTypeError(f"must be a number of seconds, at least 0, got {text!r}")
+    return value
+
+
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -81,9 +92,8 @@ def _cmd_phi(args) -> int:
     }
     code = 0
     if args.search_up_to is not None:
-        report = phi_search(
-            lam, args.search_up_to, budget_nodes=args.budget_nodes, threads=args.threads
-        )
+        report = phi_search(lam, args.search_up_to, budget_nodes=args.budget_nodes,
+                            threads=args.threads, budget_seconds=args.budget_seconds)
         payload["search"] = report.to_dict()
         if report.minimum is None and not report.exact:
             code = 2
@@ -117,7 +127,9 @@ def _cmd_solve(args) -> int:
 def _cmd_check(args) -> int:
     graph = MultipartiteGraph.from_text(args.graph)
     lam = Lambda.parse(args.lam)
-    verdict = is_choosable(graph, lam, Budget(max_nodes=args.budget_nodes))
+    verdict = is_choosable(
+        graph, lam, Budget(max_nodes=args.budget_nodes, max_seconds=args.budget_seconds)
+    )
     payload = {
         "command": "check",
         "graph": graph.text(),
@@ -210,6 +222,10 @@ def _cmd_verify(args) -> int:
     return 1
 
 
+_CLOCK_NOTE = ("; the clock is read every 1,024 nodes, so a walk may overrun it by that"
+               " many nodes, and running out makes the answer INCONCLUSIVE (exit 2)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lchoose", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -220,6 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--search-up-to", type=_at_least(0), default=None, metavar="N",
                    help="also sweep shapes up to N vertices")
     p.add_argument("--budget-nodes", type=_at_least(0), default=None)
+    p.add_argument("--budget-seconds", type=_seconds, default=None, metavar="S",
+                   help="wall-clock limit per swept shape" + _CLOCK_NOTE)
     p.add_argument("--threads", type=_at_least(1), default=os.environ.get("LCHOOSE_THREADS", "1"))
     p.set_defaults(func=_cmd_phi)
 
@@ -234,6 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-g", "--graph", required=True)
     p.add_argument("-l", "--lambda", dest="lam", required=True)
     p.add_argument("--budget-nodes", type=_at_least(0), default=None)
+    p.add_argument("--budget-seconds", type=_seconds, default=None, metavar="S",
+                   help="wall-clock limit on the walk" + _CLOCK_NOTE)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("gen",

@@ -507,7 +507,13 @@ def parity_obstruction_check(
     triple part's three equations counts each class twice (every colour sits
     in exactly two of the three lists), so three times any quota is even.
     An odd entry therefore rules out a witness outright.  Everything else,
-    or any call with force_search, goes through the backtracking search.
+    or any call with force_search, goes to ``is_lambda_assignment``.  There,
+    on these families, the forced path ends at the root: its GF(2) parity
+    certificate refutes every odd quota without a search, because three of
+    the lists (two big-part lists and a pair list, or one triple part) sum
+    to zero mod 2 while an odd quota asks them for an odd number of class
+    colours.  It shares no code with the structural recognisers, which stay
+    the independent fast path.
     """
     k = lam.total
     if not force_search and lam.m_odd > 0:

@@ -27,17 +27,19 @@ class CellResult:
         return {"parts": list(self.graph.part_sizes), **self.verdict.to_dict()}
 
 
-def _cell_worker(job: tuple[tuple[int, ...], tuple[int, ...], int | None]) -> CellResult:
-    sizes, parts, budget_nodes = job
+# a cell job: part sizes, quotas, and the cell's node and seconds budgets
+Job = tuple[tuple[int, ...], tuple[int, ...], int | None, float | None]
+
+
+def _cell_worker(job: Job) -> CellResult:
+    sizes, parts, budget_nodes, budget_seconds = job
     graph = MultipartiteGraph(sizes)
     lam = Lambda(parts)
-    verdict = is_choosable(graph, lam, Budget(max_nodes=budget_nodes))
+    verdict = is_choosable(graph, lam, Budget(max_nodes=budget_nodes, max_seconds=budget_seconds))
     return CellResult(graph, verdict)
 
 
-def _run_cells(
-    jobs: list[tuple[tuple[int, ...], tuple[int, ...], int | None]], threads: int
-) -> list[CellResult]:
+def _run_cells(jobs: list[Job], threads: int) -> list[CellResult]:
     if threads <= 1 or len(jobs) <= 1:
         return [_cell_worker(j) for j in jobs]
     # a forked pool starts every worker at once, wanted or not
@@ -81,12 +83,14 @@ def phi_search(
     n_max: int,
     budget_nodes: int | None = None,
     threads: int = 1,
+    budget_seconds: float | None = None,
 ) -> PhiSearchReport:
     """Sweep vertex counts from the quota total up to ``n_max``.
 
     Finishes the whole level where the first counterexample appears (so all
     witnesses at the minimum count are reported), then stops.  The
     all-singletons quota short-circuits: every shape is choosable for it.
+    ``budget_nodes`` and ``budget_seconds`` bound each cell on its own.
     Raises ValueError when ``threads`` is below 1.
     """
     if threads < 1:
@@ -97,7 +101,7 @@ def phi_search(
     cells: list[CellResult] = []
     clean = True  # no inconclusive cell seen so far
     for n in range(k, n_max + 1):
-        jobs = [(sizes, lam.parts, budget_nodes) for sizes in part_vectors(n, k)]
+        jobs = [(sizes, lam.parts, budget_nodes, budget_seconds) for sizes in part_vectors(n, k)]
         level = _run_cells(jobs, threads)
         cells.extend(level)
         level_clean = all(c.verdict.exhaustive for c in level)
@@ -152,7 +156,7 @@ def verify_choosable_below(
     k = lam.total
     jobs = []
     for m in range(k, n):
-        jobs.extend((sizes, lam.parts, budget_nodes) for sizes in part_vectors(m, k))
+        jobs.extend((sizes, lam.parts, budget_nodes, None) for sizes in part_vectors(m, k))
     cells = _run_cells(jobs, threads)
     ok = all(c.verdict.status == CHOOSABLE and c.verdict.exhaustive for c in cells)
     return BelowReport(lam, n, tuple(cells), ok)

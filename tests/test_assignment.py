@@ -215,6 +215,57 @@ def test_same_type_rule_agrees_with_brute_force():
             assert (is_lambda_assignment(la, lam) is not None) == naive_witness_exists(la, lam)
 
 
+def _tight_cases():
+    """Seeded lists of exactly ``lam.total`` colours on 3 to 6 vertices over
+    up to 8 colours, some padded by one colour so they are not tight, then the
+    k42 family and miss-vector candidates at k = 4, 6, 8 with their quotas."""
+    from lchoose.bundles import k42_block_sizes
+    from lchoose.constructions import build_bad_k42, random_threes_candidate
+
+    rng = random.Random(1111)
+    quotas = ((1, 1), (1, 3), (1, 1, 2), (1, 1, 1, 1), (2, 2), (4,), (1, 2), (1, 1, 1),
+              (2, 3), (1, 1, 3), (1, 1, 1, 2))
+    for _ in range(1000):
+        lam = Lambda(rng.choice(quotas))
+        universe = rng.randint(lam.total, min(8, lam.total + 2))
+        lists = [rng.sample(range(universe), lam.total) for _ in range(rng.randint(3, 6))]
+        for lst in lists:
+            spare = sorted(set(range(universe)) - set(lst))
+            if spare and rng.random() < 0.2:
+                lst.append(rng.choice(spare))
+        live = sorted({c for lst in lists for c in lst})
+        yield ListAssignment.from_lists(len(live), [[live.index(c) for c in lst]
+                                                    for lst in lists]), lam
+    for k, (odd, even) in FAMILY_QUOTAS.items():
+        for sizes in k42_block_sizes(k):
+            _, la = build_bad_k42(k, sizes)
+            yield from ((la, Lambda(parts)) for parts in odd + even)
+        for _ in range(2):
+            la = random_threes_candidate(k, rng).assignment
+            yield from ((la, Lambda(parts)) for parts in odd + even)
+
+
+def test_parity_bound_keeps_every_witness(monkeypatch):
+    # the GF(2) bound on tight lists may only refute what has no witness:
+    # the first witness of the labelled search, and existence by brute force
+    import lchoose.assignment as assignment
+
+    fired = []
+    blocked = assignment._parity_blocked
+    monkeypatch.setattr(assignment, "_parity_blocked",
+                        lambda masks, lam: fired.append(blocked(masks, lam)) or fired[-1])
+    checked = 0
+    for la, lam in _tight_cases():
+        want = reference_witness(la, lam)
+        w = is_lambda_assignment(la, lam)
+        assert (w and w.class_of) == (want and want.class_of), (la, lam)
+        if la.universe_size <= 8:
+            assert (w is not None) == naive_witness_exists(la, lam), (la, lam)
+            checked += 1
+    # it must fire often, or the agreement above says nothing
+    assert checked >= 1000 and sum(fired) >= 75
+
+
 def test_trim_to_exact_properties():
     rng = random.Random(77)
     from helpers import naive_colouring_exists

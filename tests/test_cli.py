@@ -268,3 +268,26 @@ def test_removed_flags_are_usage_errors(capsys):
     assert code == 3
     code, _ = run(capsys, ["verify", "tuple-audit", "--seed", "1"])
     assert code == 3
+
+
+def test_budget_seconds_on_check_and_phi(capsys):
+    # the clock is read every 1,024 nodes, so a zero budget stops the walk there
+    code, doc = run(capsys, ["check", "-g", "3,3,3", "-l", "3", "--budget-seconds", "0"])
+    assert code == 2 and doc["status"] == "INCONCLUSIVE" and doc["reason"] == "budget exhausted"
+    # the 5- and 6-vertex cells of the single quota 3 walk past 1,024 nodes
+    code, doc = run(capsys, ["phi", "-l", "3", "--search-up-to", "6", "--budget-seconds", "0"])
+    assert code == 2 and doc["search"]["exact"] is False
+    assert {c["reason"] for c in doc["search"]["cells"] if not c["exhaustive"]} == {"budget exhausted"}
+    # a generous clock changes nothing
+    code, doc = run(capsys, ["phi", "-l", "2", "--search-up-to", "6", "--budget-seconds", "600"])
+    assert code == 0 and doc["search"]["minimum"] == 6 and doc["search"]["exact"] is True
+    code, doc = run(capsys, ["check", "-g", "4,2", "-l", "2", "--budget-seconds", "600"])
+    assert code == 1 and doc["status"] == "NOT_CHOOSABLE"
+
+
+@pytest.mark.parametrize("value", ["-1", "-0.5", "abc", "nan", ""])
+def test_budget_seconds_must_be_a_nonnegative_number(capsys, value):
+    for argv in (["check", "-g", "2,2", "-l", "2", "--budget-seconds", value],
+                 ["phi", "-l", "2", "--search-up-to", "3", "--budget-seconds", value]):
+        code, out = run(capsys, argv)
+        assert code == 3 and out is None

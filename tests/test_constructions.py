@@ -249,6 +249,25 @@ def test_parity_obstruction_fast_and_slow_agree():
     assert parity_obstruction_check(graph, la, two, force_search=True) is False
 
 
+def test_forced_parity_check_refutes_large_odd_quotas_quickly():
+    # inputs the benchmark leaves out for time: the forced path must refute
+    # them at the root, not by exhausting the partition search
+    import time
+
+    from lchoose.bundles import k42_block_sizes
+
+    cases = [(*build_bad_k42(10, sizes), (1, 2, 3, 4)) for sizes in k42_block_sizes(10)]
+    rng = random.Random(10)
+    for k, count, quotas in ((10, 4, ((1, 3, 6), (1, 1, 3, 5))), (12, 2, ((1, 3, 8), (1, 1, 5, 5)))):
+        for _ in range(count):
+            cand = random_threes_candidate(k, rng)
+            cases.extend((cand.graph, cand.assignment, parts) for parts in quotas)
+    start = time.perf_counter()
+    for graph, la, parts in cases:
+        assert parity_obstruction_check(graph, la, Lambda(parts), force_search=True) is True
+    assert len(cases) == 18 and time.perf_counter() - start < 5
+
+
 def test_parity_obstruction_at_k4():
     odd_lams = [Lambda(p) for p in ((1, 3), (1, 1, 2), (1, 1, 1, 1))]
     even_lams = [Lambda(p) for p in ((4,), (2, 2))]

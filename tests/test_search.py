@@ -67,6 +67,20 @@ def test_verify_below_budget_starved():
     assert any(c.verdict.status == INCONCLUSIVE for c in report.cells)
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_phi_search_seconds_budget_reaches_every_cell(threads):
+    # a zero clock stops each cell at its first clock reading, node 1,024,
+    # in the pool's workers as well: the cells a 1,023-node budget starves
+    report = phi_search(Lambda((3,)), 6, budget_seconds=0, threads=threads)
+    nodes = phi_search(Lambda((3,)), 6, budget_nodes=1023)
+    assert not report.exact and report.minimum is None
+    starved = [c.graph.part_sizes for c in report.cells if not c.verdict.exhaustive]
+    assert starved == [c.graph.part_sizes for c in nodes.cells if not c.verdict.exhaustive]
+    assert len(starved) >= 3
+    for c in report.cells:
+        assert c.verdict.exhaustive or c.verdict.reason == "budget exhausted"
+
+
 def test_threads_match_sequential():
     seq = phi_search(Lambda((2,)), 6, threads=1)
     par = phi_search(Lambda((2,)), 6, threads=2)
