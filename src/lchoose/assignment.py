@@ -371,17 +371,6 @@ def _lane_images(part_sizes: tuple[int, ...], blocks: Blocks) -> list[list[array
                    .to_bytes(size, sys.byteorder)) for m in ms] for _, ms in blocks]
 
 
-def _sorted_lanes(quotas: list[int], rows) -> Iterator[Blocks]:
-    for cols in zip(*(zip(*r) for r in rows)):  # per lane, each class's images
-        enc = zip(quotas, (tuple(sorted(c, reverse=True)) for c in cols))
-        yield tuple(sorted(enc, reverse=True))
-
-
-def _encodings(part_sizes: tuple[int, ...], blocks: Blocks) -> Iterator[Blocks]:
-    """Lazily, the encoding of ``blocks`` under each element of the vertex group."""
-    return _sorted_lanes([k for k, _ in blocks], _lane_images(part_sizes, blocks))
-
-
 def _canonical_blocks(part_sizes: tuple[int, ...], blocks: Blocks) -> Blocks:
     """The orbit maximum of ``blocks``.  Encodings open with their largest
     top-quota image, so only the lanes where that image peaks are sorted."""
@@ -390,7 +379,10 @@ def _canonical_blocks(part_sizes: tuple[int, ...], blocks: Blocks) -> Blocks:
     tops = [a for k, r in zip(quotas, rows) if k == max(quotas) for a in r]
     first = tops[0] if len(tops) == 1 else list(map(max, *tops))
     keep = list(map(max(first).__eq__, first))
-    return max(_sorted_lanes(quotas, [[compress(a, keep) for a in r] for r in rows]))
+    # per kept lane, each class's images
+    lanes = zip(*(zip(*(compress(a, keep) for a in r)) for r in rows))
+    return max(tuple(sorted(zip(quotas, (tuple(sorted(c, reverse=True)) for c in cols)),
+                            reverse=True)) for cols in lanes)
 
 
 def _blocks_of(assignment: ListAssignment, lam: Lambda, partition: ColourPartition) -> Blocks:
@@ -415,8 +407,8 @@ def canonical_key(
     Two exact assignments get equal keys iff one maps to the other by some
     combination of colour renaming within classes, swaps of equal-quota
     classes, vertex permutations within parts and swaps of equal-size parts.
-    The key spells the orbit maximum, the largest encoding that ``_encodings``
-    reads off lane-packed vertex images.  Requires an exact (lam, partition).
+    The key spells the orbit maximum, which ``_canonical_blocks`` reads off
+    lane-packed vertex images.  Requires an exact (lam, partition).
     """
     if assignment.n != graph.n:
         raise ValueError("assignment and graph disagree on the vertex count")
@@ -439,9 +431,9 @@ class AssignmentEnumerator:
     class with quotas descending.  Within a class the type sequence is
     non-increasing, and a class of the same quota as its predecessor must not
     exceed the predecessor's encoding, so every orbit is generated at least
-    once in its maximal encoding.  A finished assignment is yielded only when
-    no group element maps its encoding to a larger one (the test stops at the
-    first that does), so it *is* the orbit maximum: exactly once per orbit.
+    once in its maximal encoding.  A finished assignment's encoding is already
+    sorted, and it is yielded only when ``_canonical_blocks`` returns it
+    unchanged, so it *is* the orbit maximum: exactly once per orbit.
 
     Inside the walk, a prefix p of a class (non-increasing types) is cut, with
     everything below it, when some generator g from ``_generators`` gives
@@ -463,13 +455,16 @@ class AssignmentEnumerator:
     are suppressed too, which turns the stream into the stream of
     counterexample orbits.  A non-colourable assignment keeps every prefix
     non-colourable, so no counterexample orbit is ever lost to this pruning.
-    Each test reads one bit of a ``ColourableSets`` family.  Every node gets
-    its family from its parent, updated once for the colour just placed, so no
-    solver runs and nothing is undone on backtrack.
+    Each test reads one bit of a ``ColourableSets`` family, which every node
+    gets from its parent, updated once for the colour just placed: no solver
+    runs and nothing is undone on backtrack.  The parent tests each child's
+    family and does not enter a colourable child that leaves its class
+    unfinished (it holds no leaf); a class's first node tests its own.
 
-    ``truncated`` reports whether the budget cut the walk short;
-    ``orbits_seen`` counts the canonical leaves reached.  Shapes whose vertex
-    group is too large for the leaf canonical forms raise ValueError at once.
+    Every state the walk enters ticks the budget once; ``truncated`` reports
+    whether the budget cut the walk short, and ``orbits_seen`` counts the
+    canonical leaves reached.  Shapes whose vertex group is too large for the
+    leaf canonical forms raise ValueError at once.
     """
 
     def __init__(
@@ -530,14 +525,14 @@ class AssignmentEnumerator:
                                     gens, [start] * len(gens), bound)
                     return
                 blocks = tuple(zip(quotas, done))
-                # orbit maximum iff no group element gives a larger image
-                if all(e <= blocks for e in _encodings(part_sizes, blocks)):
+                # already sorted, so the identity's encoding: a maximum iff it is
+                if _canonical_blocks(part_sizes, blocks) == blocks:
                     self.orbits_seen += 1
                     if not family >> full & 1:
                         yield self._build(done)
                 return
-            # colourability is monotone in the lists: a colourable partial
-            # can never complete to a counterexample
+            # colourability is monotone in the lists: a colourable partial can
+            # never complete to a counterexample (met here only as a class opens)
             if family >> full & 1:
                 return
             pos = len(cls)
@@ -546,40 +541,46 @@ class AssignmentEnumerator:
                 if pos == len(bound):
                     return  # equal prefix already used the whole bound
                 ceiling = min(ceiling, bound[pos])
-            s = rem
-            while s:
-                if s <= ceiling:
-                    spread = s * layers
-                    nxt = owed & ~spread | owed >> n & spread
-                    left = nxt & full
-                    # any vertex still owed colours needs a later type of
-                    # value >= 2**v, and later types are capped by s
-                    if not left or 1 << left.bit_length() - 1 <= s:
-                        # lex-leader cut: no orbit maximum lies below a
-                        # prefix that some generator maps to a larger one
-                        p = cls + (s,)
-                        lifted = []
-                        for (mask, shift), img in zip(gens, images):
-                            d = (s >> shift ^ s) & mask
-                            t = s ^ d ^ d << shift
-                            # g fixes cls, and s <= cls[-1]: g lifts p iff t > s
-                            if img is cls:
-                                if t > s:
-                                    break
-                                lifted.append(p if t == s else cls + (t,))
-                                continue
-                            b = tuple(sorted(img + (t,), reverse=True))
-                            if b > p:
-                                break
-                            lifted.append(b)
-                        else:
-                            yield from grow(
-                                ci, done, p, nxt, add(family, s), gens, lifted,
-                                bound if bound is not None and s == bound[pos] else None,
-                            )
-                            if self.truncated:
-                                return
-                s = (s - 1) & rem
+            # s runs down rem's submasks; the first without rem's top vertex
+            # leaves it owed above s (see below), and so does every later one
+            s, top = rem + 1, 1 << rem.bit_length() - 1
+            while (s := (s - 1) & rem) >= top:
+                if s > ceiling:
+                    continue
+                spread = s * layers
+                nxt = owed & ~spread | owed >> n & spread
+                left = nxt & full
+                # any vertex still owed colours needs a later type of
+                # value >= 2**v, and later types are capped by s
+                if left and 1 << left.bit_length() - 1 > s:
+                    continue
+                fam = add(family, s)
+                # a colourable child that leaves its class unfinished would
+                # return at its own test; one finishing it may be a leaf
+                if left and fam >> full & 1:
+                    continue
+                # lex-leader cut: no orbit maximum lies below a prefix that
+                # some generator maps to a larger one
+                p = cls + (s,)
+                lifted = []
+                for (mask, shift), img in zip(gens, images):
+                    d = (s >> shift ^ s) & mask
+                    t = s ^ d ^ d << shift
+                    # g fixes cls, and s <= cls[-1]: g lifts p iff t > s
+                    if img is cls:
+                        if t > s:
+                            break
+                        lifted.append(p if t == s else cls + (t,))
+                        continue
+                    b = tuple(sorted(img + (t,), reverse=True))
+                    if b > p:
+                        break
+                    lifted.append(b)
+                else:
+                    yield from grow(ci, done, p, nxt, fam, gens, lifted,
+                                    bound if bound is not None and s == bound[pos] else None)
+                    if self.truncated:
+                        return
 
         gens = _generators(part_sizes)
         yield from grow(0, (), start, (1 << quotas[0] * n) - 1, ColourableSets.EMPTY,

@@ -21,7 +21,9 @@ class Budget:
         self.exhausted = False
 
     def tick(self) -> bool:
-        """Account one search node; False once the budget is spent."""
+        """Account one search node: a state the orbit walk enters (a child its
+        parent rules out costs none) or a row tuple the miss-vector enumerator
+        tries.  False once the budget is spent."""
         if self.exhausted:
             return False
         self.nodes += 1

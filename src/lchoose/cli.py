@@ -66,16 +66,10 @@ def _load_json(path: str) -> dict:
 
 def _cmd_phi(args) -> int:
     lam = Lambda.parse(args.lam)
+    payload = {"command": "phi", "lambda": list(lam.parts), "phi": "infinite",
+               "bounds": None, "search": None}
     if lam.is_trivial:
-        _emit(
-            {
-                "command": "phi",
-                "lambda": list(lam.parts),
-                "phi": "infinite",
-                "bounds": None,
-                "search": None,
-            }
-        )
+        _emit(payload)
         print(f"phi({lam}) is infinite: the all-singletons quota refutes nothing",
               file=sys.stderr)
         return 0
@@ -83,13 +77,7 @@ def _cmd_phi(args) -> int:
 
     lo, hi = phi_bounds(lam)
     exact = phi_exact(lam)
-    payload = {
-        "command": "phi",
-        "lambda": list(lam.parts),
-        "phi": exact,
-        "bounds": [lo, hi],
-        "search": None,
-    }
+    payload.update(phi=exact, bounds=[lo, hi])
     code = 0
     if args.search_up_to is not None:
         report = phi_search(lam, args.search_up_to, budget_nodes=args.budget_nodes,
@@ -153,6 +141,12 @@ def _integer(value, field: str) -> int:
     return value
 
 
+def _field(manifest: dict, field: str):
+    if field not in manifest:
+        raise ValueError(f"manifest lacks the field {field!r}")
+    return manifest[field]
+
+
 def _cmd_gen(args) -> int:
     manifest = _load_json(args.manifest)
     if not isinstance(manifest, dict):
@@ -160,7 +154,7 @@ def _cmd_gen(args) -> int:
         return USAGE_ERROR
     family = manifest.get("family")
     if family == "lemma1":
-        inst = build_gadget(*(_integer(manifest[f], f) for f in ("ones", "twos", "threes")))
+        inst = build_gadget(*(_integer(_field(manifest, f), f) for f in ("ones", "twos", "threes")))
         docs = [
             {
                 "graph": inst.graph.text(),
@@ -168,14 +162,14 @@ def _cmd_gen(args) -> int:
             }
         ]
     elif family == "k42":
-        k = _integer(manifest["k"], "k")
-        sizes = manifest["sizes"]
+        k = _integer(_field(manifest, "k"), "k")
+        sizes = _field(manifest, "sizes")
         if not isinstance(sizes, list):
             raise ValueError(f"manifest field 'sizes' must be a list, got {sizes!r}")
         graph, assignment = build_bad_k42(k, tuple(_integer(x, "sizes") for x in sizes))
         docs = [{"graph": graph.text(), **assignment_to_dict(assignment)}]
     elif family == "threes":
-        k = _integer(manifest["k"], "k")
+        k = _integer(_field(manifest, "k"), "k")
         count = _integer(manifest.get("count", 1), "count")
         if count < 1:
             print(f"threes count must be at least 1, got {count}", file=sys.stderr)

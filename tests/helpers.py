@@ -6,17 +6,21 @@ from __future__ import annotations
 
 import random
 from itertools import product
+from typing import Iterator
 
 from lchoose.assignment import (
     ColourPartition,
     ListAssignment,
+    _check_group,
     _colour_types,
+    _generators,
+    _lane_images,
     canonical_key,
     vertex_group,
 )
 from lchoose.budget import Budget
 from lchoose.constructions import ThreesBadCandidate, _balanced_vectors
-from lchoose.graphs import MultipartiteGraph, part_vectors
+from lchoose.graphs import ColourableSets, MultipartiteGraph, part_vectors
 from lchoose.lam import Lambda
 
 
@@ -327,3 +331,136 @@ def half_list_corpus(seed: int, count: int):
             for m in masks:
                 union |= m
         yield graph, ListAssignment(u, masks)
+
+
+def _sorted_lanes(quotas: list[int], rows) -> Iterator[tuple]:
+    for cols in zip(*(zip(*r) for r in rows)):  # per lane, each class's images
+        enc = zip(quotas, (tuple(sorted(c, reverse=True)) for c in cols))
+        yield tuple(sorted(enc, reverse=True))
+
+
+def _encodings(part_sizes: tuple[int, ...], blocks: tuple) -> Iterator[tuple]:
+    """Lazily, the encoding of ``blocks`` under each element of the vertex group."""
+    return _sorted_lanes([k for k, _ in blocks], _lane_images(part_sizes, blocks))
+
+
+class ReferenceAssignmentEnumerator:
+    """The orbit walk as it stood before it decided colourable children in
+    the parent, bounded its type scan by the top owed vertex and tested
+    leaves by the orbit maximum: every state it reaches ticks the budget, a
+    colourable one returns only once entered, and a leaf is kept when no
+    lane encoding exceeds it.  Node counts and streams of the current walk
+    must match it with ``prune_colourable`` off."""
+
+    def __init__(
+        self,
+        graph: MultipartiteGraph,
+        lam: Lambda,
+        budget: Budget | None = None,
+        prune_colourable: bool = False,
+    ):
+        _check_group(graph.part_sizes)
+        self.graph = graph
+        self.lam = lam
+        self.budget = budget if budget is not None else Budget()
+        self.prune = prune_colourable
+        self.truncated = False
+        self.orbits_seen = 0
+        self._gen = self._walk()
+
+    def __iter__(self) -> Iterator[tuple[ListAssignment, ColourPartition]]:
+        return self._gen
+
+    def _build(self, done: tuple[tuple[int, ...], ...]):
+        # colours are numbered in placement order
+        types = [s for cls in done for s in cls]
+        masks = tuple(
+            sum(1 << c for c, s in enumerate(types) if s >> v & 1) for v in range(self.graph.n)
+        )
+        class_of = tuple(len(done) - 1 - ci for ci, cls in enumerate(done) for _ in cls)
+        return ListAssignment(len(types), masks), ColourPartition(self.lam, class_of)
+
+    def _walk(self):
+        G = self.graph
+        n = G.n
+        full = (1 << n) - 1
+        quotas = tuple(sorted(self.lam.parts, reverse=True))
+        part_sizes = G.part_sizes
+        tick = self.budget.tick
+        # ``owed`` packs the current class's colours each vertex is still owed
+        layers = sum(1 << j * n for j in range(quotas[0]))
+        # a family holds the sets the placed colours can colour (EMPTY unpruned)
+        add = ColourableSets(G).add if self.prune else lambda family, s: family
+        start = ()  # every class opens with this prefix; ``img is cls`` tests for it
+
+        def grow(ci, done, cls, owed, family, gens, images, bound):
+            if not tick():
+                self.truncated = True
+                return
+            rem = owed & full
+            if rem == 0:
+                done += (cls,)
+                if ci + 1 < len(quotas):
+                    k = quotas[ci + 1]
+                    bound = cls if quotas[ci] == k else None
+                    # later classes are checked only by the generators
+                    # fixing every finished class
+                    gens = [g for g, img in zip(gens, images) if img == cls]
+                    yield from grow(ci + 1, done, start, (1 << k * n) - 1, family,
+                                    gens, [start] * len(gens), bound)
+                    return
+                blocks = tuple(zip(quotas, done))
+                # orbit maximum iff no group element gives a larger image
+                if all(e <= blocks for e in _encodings(part_sizes, blocks)):
+                    self.orbits_seen += 1
+                    if not family >> full & 1:
+                        yield self._build(done)
+                return
+            # colourability is monotone in the lists: a colourable partial
+            # can never complete to a counterexample
+            if family >> full & 1:
+                return
+            pos = len(cls)
+            ceiling = cls[-1] if cls else full
+            if bound is not None:
+                if pos == len(bound):
+                    return  # equal prefix already used the whole bound
+                ceiling = min(ceiling, bound[pos])
+            s = rem
+            while s:
+                if s <= ceiling:
+                    spread = s * layers
+                    nxt = owed & ~spread | owed >> n & spread
+                    left = nxt & full
+                    # any vertex still owed colours needs a later type of
+                    # value >= 2**v, and later types are capped by s
+                    if not left or 1 << left.bit_length() - 1 <= s:
+                        # lex-leader cut: no orbit maximum lies below a
+                        # prefix that some generator maps to a larger one
+                        p = cls + (s,)
+                        lifted = []
+                        for (mask, shift), img in zip(gens, images):
+                            d = (s >> shift ^ s) & mask
+                            t = s ^ d ^ d << shift
+                            # g fixes cls, and s <= cls[-1]: g lifts p iff t > s
+                            if img is cls:
+                                if t > s:
+                                    break
+                                lifted.append(p if t == s else cls + (t,))
+                                continue
+                            b = tuple(sorted(img + (t,), reverse=True))
+                            if b > p:
+                                break
+                            lifted.append(b)
+                        else:
+                            yield from grow(
+                                ci, done, p, nxt, add(family, s), gens, lifted,
+                                bound if bound is not None and s == bound[pos] else None,
+                            )
+                            if self.truncated:
+                                return
+                s = (s - 1) & rem
+
+        gens = _generators(part_sizes)
+        yield from grow(0, (), start, (1 << quotas[0] * n) - 1, ColourableSets.EMPTY,
+                        gens, [start] * len(gens), None)

@@ -442,9 +442,10 @@ def test_canonical_blocks_hand_cases(sizes, blocks):
 
 
 def test_leaf_test_agrees_with_the_orbit_maximum():
-    # the walk's leaf test stops at the first larger image; it must accept
-    # exactly the blocks that are their own orbit maximum, unsorted ones too
-    from lchoose.assignment import _encodings
+    # the walk's leaf test compares the orbit maximum with the blocks it
+    # holds; it must accept exactly the blocks that are their own orbit
+    # maximum, and no unsorted ones
+    from lchoose.assignment import _canonical_blocks
 
     def sort(blocks):  # the identity's encoding
         return tuple(sorted(((k, tuple(sorted(ms, reverse=True))) for k, ms in blocks),
@@ -454,8 +455,8 @@ def test_leaf_test_agrees_with_the_orbit_maximum():
     for sizes, blocks in _canonical_cases():
         canon = reference_canonical_blocks(sizes, blocks)
         for b in (blocks, sort(blocks), canon):
-            leaf = all(e <= b for e in _encodings(sizes, b))
-            assert leaf == (max(_encodings(sizes, b)) == b) == (canon == b)
+            leaf = _canonical_blocks(sizes, b) == b
+            assert leaf == (canon == b)
             seen.add((b == sort(b), leaf))
     assert seen == {(False, False), (True, False), (True, True)}
 

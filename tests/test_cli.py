@@ -190,6 +190,21 @@ def test_gen_rejects_malformed_manifests(tmp_path, capsys, manifest):
     assert "manifest" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("manifest, field", [
+    ({"family": "threes", "count": 1}, "k"),
+    ({"family": "k42", "sizes": [1, 0, 1]}, "k"),
+    ({"family": "k42", "k": 2}, "sizes"),
+    ({"family": "lemma1", "ones": 1, "threes": 1}, "twos"),
+])
+def test_gen_names_a_missing_manifest_field(tmp_path, capsys, manifest, field):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(manifest))
+    assert main(["gen", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"manifest lacks the field {field!r}" in err and "Traceback" not in err
+
+
 def test_gen_threes_refuses_large_groups_at_once(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"family": "threes", "k": 12, "count": 1}))

@@ -21,11 +21,13 @@ from pathlib import Path
 
 import pytest
 
-from lchoose.assignment import canonical_key
+from lchoose.assignment import AssignmentEnumerator, canonical_key
 from lchoose.budget import Budget
 from lchoose.graphs import MultipartiteGraph, part_vectors
 from lchoose.lam import Lambda
 from lchoose.solver import INCONCLUSIVE, NOT_CHOOSABLE, is_choosable
+
+from helpers import ReferenceAssignmentEnumerator
 
 CORPUS = Path(__file__).parent / "data" / "verdicts.json"
 LAMBDAS = ((2,), (1, 1), (3,), (1, 2), (1, 1, 1))
@@ -95,11 +97,11 @@ ANCHOR_COUNTEREXAMPLES = {
 @pytest.mark.parametrize(
     "sizes, parts, status, nodes, orbits",
     [
-        ((4, 2), (2,), NOT_CHOOSABLE, 1_422, 81),
-        ((2, 2, 2), (1, 2), "CHOOSABLE", 7_472, 95),
+        ((4, 2), (2,), NOT_CHOOSABLE, 773, 81),
+        ((2, 2, 2), (1, 2), "CHOOSABLE", 3_238, 95),
         # a truncated walk: the budget is one node short of the count,
         # because the tick that overruns it is counted too
-        ((2, 2, 2), (1, 2), INCONCLUSIVE, 5_001, 74),
+        ((2, 2, 2), (1, 2), INCONCLUSIVE, 2_001, 69),
     ],
 )
 def test_walk_node_anchors(sizes, parts, status, nodes, orbits):
@@ -107,6 +109,41 @@ def test_walk_node_anchors(sizes, parts, status, nodes, orbits):
     doc = is_choosable(MultipartiteGraph(sizes), Lambda(parts), budget).to_dict()
     assert (doc["status"], budget.nodes, doc["orbits_checked"]) == (status, nodes, orbits)
     assert doc["counterexample"] == ANCHOR_COUNTEREXAMPLES.get((sizes, parts))
+
+
+def _walk(enumerator, sizes, parts, prune, max_nodes=None):
+    # the first yield when pruned (the counterexample a verdict takes), else
+    # the whole stream; then orbits, truncation and nodes
+    budget = Budget(max_nodes=max_nodes)
+    enum = enumerator(MultipartiteGraph(sizes), Lambda(parts), budget, prune_colourable=prune)
+    stream = [next(iter(enum), None)] if prune else list(enum)
+    return stream, enum.orbits_seen, enum.truncated, budget.nodes
+
+
+@pytest.mark.parametrize("sizes, parts", [
+    *((sizes, parts) for sizes, parts in _cells() if sum(sizes) <= 6),
+    ((5, 1, 1), (1, 2)), ((5, 1, 1), (1, 1, 1)), ((3, 2, 2), (1, 1, 1)),
+])
+def test_pruned_walk_matches_the_reference_walk(sizes, parts):
+    # deciding colourable children in the parent skips only nodes that hold
+    # no leaf: same first counterexample, orbits and truncation, fewer nodes
+    *ref, ref_nodes = _walk(ReferenceAssignmentEnumerator, sizes, parts, True)
+    *got, nodes = _walk(AssignmentEnumerator, sizes, parts, True)
+    assert got == ref and nodes <= ref_nodes
+
+
+@pytest.mark.parametrize("sizes, parts, max_nodes", [
+    *((sizes, parts, None) for sizes, parts in _cells() if sum(sizes) <= 4),
+    # larger walks, cut by the budget at the same node
+    ((2, 1, 1, 1), (1, 1, 2), 5_000),
+    ((3, 2, 1), (3,), 5_000),
+])
+def test_unpruned_walk_matches_the_reference_walk(sizes, parts, max_nodes):
+    # without the colourability prune the walk enters the same states:
+    # the scan bound skips only rejected types, and the leaf test is exact
+    got = _walk(AssignmentEnumerator, sizes, parts, False, max_nodes)
+    assert got == _walk(ReferenceAssignmentEnumerator, sizes, parts, False, max_nodes)
+    assert got[2] == (max_nodes is not None)
 
 
 if __name__ == "__main__":
