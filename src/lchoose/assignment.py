@@ -458,8 +458,9 @@ class AssignmentEnumerator:
     Each test reads one bit of a ``ColourableSets`` family, which every node
     gets from its parent, updated once for the colour just placed: no solver
     runs and nothing is undone on backtrack.  The parent tests each child's
-    family and does not enter a colourable child that leaves its class
-    unfinished (it holds no leaf); a class's first node tests its own.
+    family and enters a colourable child only when it finishes the last
+    class, whose leaf test still counts the orbit; any other colourable child
+    holds no leaf, so the walk never opens a class on a colourable family.
 
     Every state the walk enters ticks the budget once; ``truncated`` reports
     whether the budget cut the walk short, and ``orbits_seen`` counts the
@@ -531,10 +532,6 @@ class AssignmentEnumerator:
                     if not family >> full & 1:
                         yield self._build(done)
                 return
-            # colourability is monotone in the lists: a colourable partial can
-            # never complete to a counterexample (met here only as a class opens)
-            if family >> full & 1:
-                return
             pos = len(cls)
             ceiling = cls[-1] if cls else full
             if bound is not None:
@@ -554,10 +551,11 @@ class AssignmentEnumerator:
                 # value >= 2**v, and later types are capped by s
                 if left and 1 << left.bit_length() - 1 > s:
                     continue
+                # colourability is monotone in the lists: a colourable child
+                # never completes to a counterexample, and holds no leaf
+                # unless it finishes the last class (its leaf counts an orbit)
                 fam = add(family, s)
-                # a colourable child that leaves its class unfinished would
-                # return at its own test; one finishing it may be a leaf
-                if left and fam >> full & 1:
+                if fam >> full & 1 and (left or ci + 1 < len(quotas)):
                     continue
                 # lex-leader cut: no orbit maximum lies below a prefix that
                 # some generator maps to a larger one
@@ -615,6 +613,11 @@ def assignment_to_dict(
     }
 
 
+def _integers(values) -> bool:
+    # bool is an int subclass, and int() would floor a float or parse a string
+    return isinstance(values, list) and all(type(x) is int for x in values)
+
+
 def assignment_from_dict(data: dict) -> tuple[ListAssignment, ColourPartition | None, Lambda | None]:
     """Inverse of assignment_to_dict; raises ValueError on schema violations."""
     if not isinstance(data, dict):
@@ -624,11 +627,10 @@ def assignment_from_dict(data: dict) -> tuple[ListAssignment, ColourPartition | 
             raise ValueError(f"assignment document lacks {key!r}")
     universe = data["universe"]
     lists = data["lists"]
-    if not isinstance(universe, int) or not isinstance(lists, list):
+    if type(universe) is not int or not isinstance(lists, list):
         raise ValueError("assignment document has wrong field types")
-    for lst in lists:
-        if not isinstance(lst, list) or not all(isinstance(c, int) for c in lst):
-            raise ValueError("lists must be arrays of integers")
+    if not all(_integers(lst) for lst in lists):
+        raise ValueError("lists must be arrays of integers")
     # before any bitmask is built: a huge colour or universe asks for a huge int
     if not 1 <= universe <= sum(map(len, lists)):
         raise ValueError("universe must be between 1 and the number of list entries")
@@ -638,14 +640,14 @@ def assignment_from_dict(data: dict) -> tuple[ListAssignment, ColourPartition | 
     lam = None
     if data.get("lambda") is not None:
         lam_field = data["lambda"]
-        if not isinstance(lam_field, list):
+        if not _integers(lam_field):
             raise ValueError("lambda must be an array of integers")
         lam = Lambda(tuple(lam_field))
     partition = None
     if data.get("partition") is not None:
         part_field = data["partition"]
-        if not isinstance(part_field, list) or len(part_field) != universe:
-            raise ValueError("partition must list one class per universe colour")
+        if not _integers(part_field) or len(part_field) != universe:
+            raise ValueError("partition must list one integer class per universe colour")
         if lam is None:
             raise ValueError("partition requires the lambda field")
         partition = ColourPartition(lam, tuple(part_field))

@@ -108,10 +108,11 @@ def bundle_parity_k4(budget_nodes: int | None = None) -> dict:
 
     Every instance of both families must be non-colourable, must admit no
     quota partition for any multiset of total 4 with an odd entry (the fast
-    structural answer cross-checked by the forced path, which the GF(2)
-    parity certificate in ``is_lambda_assignment`` settles at the root), and
-    must admit one for the all-even multisets on the four-blocks family, so a
-    certificate that fired on an even multiset would fail the bundle.
+    path's three tight lists with an empty symmetric difference,
+    cross-checked by the forced path, which the GF(2) parity certificate in
+    ``is_lambda_assignment`` settles at the root), and must admit one for the
+    all-even multisets on the four-blocks family, so a certificate that
+    fired on an even multiset would fail the bundle.
     """
     k = 4
     threes_budget = budget_nodes if budget_nodes is not None else 1200

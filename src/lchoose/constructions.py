@@ -10,7 +10,7 @@ over a universe of 2k-a colours.  Its structure is rigid enough that
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations
 
 from .assignment import (
     ColourPartition,
@@ -430,64 +430,10 @@ def random_threes_candidate(k: int, rng) -> ThreesBadCandidate:
     return ThreesBadCandidate(k, tuple(rows), tuple(singles))
 
 
-def _recognize_k42(graph: MultipartiteGraph, assignment: ListAssignment, k: int) -> bool:
-    """Does the assignment match the four-blocks shape of build_bad_k42?
-
-    Accepts exactly the shapes for which the parity argument goes through:
-    the B blocks partition B, the A blocks partition A (empty blocks fine),
-    every 2-part carries the pair (A, B), and some ordering of the 4-part
-    realises the A1 A3 B1 / A1 A4 B2 / A2 A4 B1 / A2 A3 B2 layout.
-    """
-    if graph.part_sizes != (4,) + (2,) * (k - 1):
-        return False
-    if any(m.bit_count() != k for m in assignment.masks):
-        return False
-    pair_masks = assignment.masks[4:]
-    pairs = {frozenset((pair_masks[2 * i], pair_masks[2 * i + 1])) for i in range(k - 1)}
-    if len(pairs) != 1:
-        return False
-    two = sorted(next(iter(pairs)))
-    if len(two) != 2 or two[0] & two[1]:
-        return False
-    for a_all, b_all in (tuple(two), tuple(reversed(two))):
-        for perm in permutations(range(4)):
-            L = [assignment.masks[v] for v in perm]
-            a1 = L[0] & L[1] & a_all
-            a2 = L[2] & L[3] & a_all
-            a3 = L[0] & L[3] & a_all
-            a4 = L[1] & L[2] & a_all
-            b1 = L[0] & L[2] & b_all
-            b2 = L[1] & L[3] & b_all
-            if (a1 | a2 | a3 | a4) != a_all or (b1 | b2) != b_all:
-                continue
-            asum = a1.bit_count() + a2.bit_count() + a3.bit_count() + a4.bit_count()
-            if asum != a_all.bit_count():
-                continue
-            if b1.bit_count() + b2.bit_count() != b_all.bit_count():
-                continue
-            want = [a1 | a3 | b1, a1 | a4 | b2, a2 | a4 | b1, a2 | a3 | b2]
-            if L == want:
-                return True
-    return False
-
-
-def _recognize_threes(graph: MultipartiteGraph, assignment: ListAssignment, k: int) -> bool:
-    """Every triple part sees every colour in exactly two lists, balanced."""
-    half = k // 2
-    if graph.part_sizes != (3,) * (half + 1) + (1,) * (half - 1):
-        return False
-    u = assignment.universe_size
-    if u != 3 * half:
-        return False
-    if any(m.bit_count() != k for m in assignment.masks):
-        return False
-    for p in range(half + 1):
-        trio = assignment.masks[3 * p : 3 * p + 3]
-        for c in range(u):
-            hits = sum(m >> c & 1 for m in trio)
-            if hits != 2:
-                return False
-    return True
+def _odd_triple(masks: tuple[int, ...], total: int) -> bool:
+    """Do three lists of exactly ``total`` colours have an empty symmetric difference?"""
+    tight = {m for m in masks if m.bit_count() == total}
+    return any(a ^ b in tight for a, b in combinations(tight, 2))
 
 
 def parity_obstruction_check(
@@ -498,25 +444,19 @@ def parity_obstruction_check(
 ) -> bool:
     """True when no partition of the universe witnesses the quotas.
 
-    For the two structural families above this is settled by counting
-    whenever ``lam`` has an odd entry.  All lists have size exactly
-    ``lam.total``, so a witness partition would meet every list in exactly
-    its quota per class.  On the four-blocks shape, subtracting the four
-    big-part equations in pairs forces each class to split the B side
-    evenly, so every quota is even.  On the miss-vector shape, summing a
-    triple part's three equations counts each class twice (every colour sits
-    in exactly two of the three lists), so three times any quota is even.
-    An odd entry therefore rules out a witness outright.  Everything else,
-    or any call with force_search, goes to ``is_lambda_assignment``.  There,
-    on these families, the forced path ends at the root: its GF(2) parity
-    certificate refutes every odd quota without a search, because three of
-    the lists (two big-part lists and a pair list, or one triple part) sum
-    to zero mod 2 while an odd quota asks them for an odd number of class
-    colours.  It shares no code with the structural recognisers, which stay
-    the independent fast path.
+    A list of exactly ``lam.total`` colours meets a witness in exactly
+    ``k_i`` colours of class i.  When three such lists have an empty
+    symmetric difference, every colour lies in none or two of them, so each
+    class meets the three an even number of times in all, while a witness
+    needs ``3 * k_i`` of them.  An odd quota therefore rules out a witness
+    outright.  Both families above carry such a triple: two lists of the
+    4-part that share a B block sum to the pair part's A list, and the three
+    lists of a triple part hold every colour twice.  Everything else, or any
+    call with force_search, goes to ``is_lambda_assignment``, whose GF(2)
+    certificate settles these families at the root by Gaussian elimination.
+    The fast path shares no code with it, so each checks the other.
+    Neither reads ``graph``; it stays in the signature for the callers.
     """
-    k = lam.total
-    if not force_search and lam.m_odd > 0:
-        if _recognize_k42(graph, assignment, k) or _recognize_threes(graph, assignment, k):
-            return True
+    if not force_search and lam.m_odd and _odd_triple(assignment.masks, lam.total):
+        return True
     return is_lambda_assignment(assignment, lam) is None

@@ -599,6 +599,30 @@ def test_dict_rejects_malformed(doc):
 
 
 @pytest.mark.parametrize(
+    "field, value",
+    [
+        ("lambda", [1.9, 1.2]),
+        ("lambda", [True, 1]),
+        ("lambda", ["1", "1"]),
+        ("partition", [0.5, 1.4]),
+        ("partition", [False, True]),
+        ("partition", ["0", "1"]),
+        ("lists", [[True, 0], [1]]),
+        ("lists", [[0.0], [1.0]]),
+        ("lists", [["0"], [1]]),
+        ("universe", True),
+        ("universe", 2.0),
+    ],
+)
+def test_dict_refuses_entries_that_are_not_integers(field, value):
+    # int() would floor 1.9 to 1 and read True as 1: refuse them instead
+    doc = {"universe": 2, "lists": [[0], [1]], "partition": [0, 1], "lambda": [1, 1]}
+    assignment_from_dict(doc)
+    with pytest.raises(ValueError):
+        assignment_from_dict({**doc, field: value})
+
+
+@pytest.mark.parametrize(
     "doc",
     [
         {"universe": 3, "lists": [[0, 1], [2, 3]]},  # colour 3 outside

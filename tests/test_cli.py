@@ -101,6 +101,18 @@ def test_solve_malformed_document(tmp_path, capsys):
     assert code == 3
 
 
+def test_solve_refuses_a_document_with_non_integer_quotas(tmp_path, capsys):
+    body = tmp_path / "a.json"
+    doc = {"universe": 2, "lists": [[0], [1]]}
+    for extra in ({"lambda": [1.9, 1.2]}, {"lambda": [1, 1], "partition": [0.5, 1.4]}):
+        body.write_text(json.dumps({**doc, **extra}))
+        code, out = run(capsys, ["solve", "-g", "1,1", str(body)])
+        assert code == 3 and out is None
+    body.write_text(json.dumps({"universe": 2, "lists": [[True, 0], [1]]}))
+    code, out = run(capsys, ["solve", "-g", "1,1", str(body)])
+    assert code == 3 and out is None
+
+
 def test_solve_rejects_a_universe_beyond_its_lists(tmp_path, capsys, monkeypatch):
     from lchoose.assignment import ListAssignment
 

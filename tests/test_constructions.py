@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -17,8 +18,7 @@ from lchoose.constructions import (
     ThreesBadCandidate,
     ThreesFamilyEnumerator,
     _miss_normal_form,
-    _recognize_k42,
-    _recognize_threes,
+    _odd_triple,
     build_bad_k42,
     build_gadget,
     exception_graphs,
@@ -120,18 +120,8 @@ def test_k42_family_is_bad_and_recognised(k, sizes):
     assert find_colouring(graph, la) is None
     if k == 2:
         assert not naive_colouring_exists(graph, la)
-    assert _recognize_k42(graph, la, k)
-
-
-def test_k42_recogniser_rejects_perturbations():
-    graph, la = build_bad_k42(4, (1, 1, 2))
-    masks = list(la.masks)
-    # swap one colour between the two halves of a pair part
-    masks[4] ^= 0b11
-    masks[5] ^= 0b11
-    perturbed = ListAssignment(la.universe_size, tuple(masks))
-    assert not _recognize_k42(graph, perturbed, 4)
-    assert not _recognize_k42(MultipartiteGraph((4, 2)), la, 4)
+    # two 4-part lists sharing a B block sum to the pair parts' A list
+    assert _odd_triple(la.masks, k)
 
 
 def test_threes_candidate_validation():
@@ -157,7 +147,8 @@ def test_threes_candidates_always_bad():
             cand = random_threes_candidate(k, rng)
             assert all(m.bit_count() == k for m in cand.assignment.masks)
             assert find_colouring(cand.graph, cand.assignment) is None
-            assert _recognize_threes(cand.graph, cand.assignment, k)
+            # a triple part holds every colour in two of its three lists
+            assert _odd_triple(cand.assignment.masks[:3], k)
 
 
 def test_random_threes_deterministic_under_seed():
@@ -280,14 +271,59 @@ def test_parity_obstruction_at_k4():
             assert parity_obstruction_check(graph, la, lam) is False
 
 
-def test_parity_obstruction_plain_assignment_uses_search():
-    # not one of the structured families: falls back to the witness search
+def test_parity_obstruction_on_plain_lists_certificate_or_search():
+    # the certificate reads no shape: the cyclic pairs sum to zero, so the
+    # odd quota (1, 1) is refuted without a search; the rest is searched
     graph = MultipartiteGraph((2, 1))
     cyclic = ListAssignment.from_lists(3, [[0, 1], [1, 2], [0, 2]])
-    # pairwise-overlapping pairs admit no two-class split
+    assert _odd_triple(cyclic.masks, 2)
     assert parity_obstruction_check(graph, cyclic, Lambda((1, 1))) is True
     assert not naive_witness_exists(cyclic, Lambda((1, 1)))
     assert parity_obstruction_check(graph, cyclic, Lambda((2,))) is False
     shared = ListAssignment.from_lists(2, [[0, 1], [0, 1], [0, 1]])
     assert parity_obstruction_check(graph, shared, Lambda((1, 1))) is False
     assert parity_obstruction_check(graph, shared, Lambda((3,))) is True
+
+
+def _triple_cases():
+    """Seeded lists on 3 to 6 vertices over at most 6 colours, of exactly
+    ``lam.total`` colours or one more.  Where the list size is even, half
+    the cases plant three lists X|Y, Y|Z, X|Z from disjoint blocks, which
+    sum to zero, tight or one colour too large."""
+    rng = random.Random(1313)
+    quotas = ((1,), (2,), (3,), (4,), (1, 1), (1, 2), (2, 2), (1, 3), (1, 1, 1),
+              (1, 1, 2), (1, 1, 1, 1))
+    for _ in range(600):
+        lam = Lambda(rng.choice(quotas))
+        n, lists = rng.randint(3, 6), []
+        size = lam.total + (rng.random() < 0.3)
+        if size % 2 == 0 and size <= 4 and rng.random() < 0.5:
+            half = size // 2
+            cols = rng.sample(range(6), 3 * half)
+            x, y, z = set(cols[:half]), set(cols[half:2 * half]), set(cols[2 * half:])
+            lists += [x | y, y | z, x | z]
+        while len(lists) < n:
+            lst = set(rng.sample(range(6), lam.total))
+            if rng.random() < 0.2:
+                lst.add(rng.randrange(6))
+            lists.append(lst)
+        rng.shuffle(lists)
+        live = sorted(set().union(*lists))
+        yield ListAssignment.from_lists(len(live), [[live.index(c) for c in lst]
+                                                    for lst in lists]), lam
+
+
+def test_odd_triple_refutes_only_what_has_no_witness():
+    # the fast path may answer True only where brute force finds no witness,
+    # and must agree with the forced path everywhere
+    fired = Counter()
+    for la, lam in _triple_cases():
+        graph = MultipartiteGraph((la.n,))
+        fast = parity_obstruction_check(graph, la, lam)
+        assert fast == parity_obstruction_check(graph, la, lam, force_search=True), (la, lam)
+        if fast:
+            assert not naive_witness_exists(la, lam), (la, lam)
+        if lam.m_odd and _odd_triple(la.masks, lam.total):
+            fired[lam.parts] += 1
+    # it must fire often, on several quotas, or the agreement says little
+    assert sum(fired.values()) >= 60 and len(fired) >= 4, fired

@@ -98,10 +98,10 @@ ANCHOR_COUNTEREXAMPLES = {
     "sizes, parts, status, nodes, orbits",
     [
         ((4, 2), (2,), NOT_CHOOSABLE, 773, 81),
-        ((2, 2, 2), (1, 2), "CHOOSABLE", 3_238, 95),
+        ((2, 2, 2), (1, 2), "CHOOSABLE", 2_256, 95),
         # a truncated walk: the budget is one node short of the count,
         # because the tick that overruns it is counted too
-        ((2, 2, 2), (1, 2), INCONCLUSIVE, 2_001, 69),
+        ((2, 2, 2), (1, 2), INCONCLUSIVE, 1_501, 69),
     ],
 )
 def test_walk_node_anchors(sizes, parts, status, nodes, orbits):
