@@ -40,7 +40,7 @@ from typing import Iterator
 
 from .budget import Budget
 from .graphs import ColourableSets, MultipartiteGraph
-from .lam import Lambda
+from .lam import Lambda, integers
 
 # explicit-group canonicalisation is meant for desk-scale instances
 _GROUP_LIMIT = 2_000_000
@@ -79,8 +79,8 @@ class ListAssignment:
         masks = []
         for lst in lists:
             m = 0
-            for c in lst:
-                m |= 1 << int(c)
+            for c in integers(lst, "colours"):
+                m |= 1 << c
             masks.append(m)
         return cls(universe_size, tuple(masks))
 
@@ -103,7 +103,7 @@ class ColourPartition:
     class_of: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        cls = tuple(int(c) for c in self.class_of)
+        cls = integers(self.class_of, "colour classes")
         q = self.lam.size
         if any(c < 0 or c >= q for c in cls):
             raise ValueError("class index out of range")
@@ -535,11 +535,12 @@ class AssignmentEnumerator:
             pos = len(cls)
             ceiling = cls[-1] if cls else full
             if bound is not None:
-                if pos == len(bound):
-                    return  # equal prefix already used the whole bound
+                # cls is bound[:pos]; all of bound would have paid every
+                # owed colour, as bound did, and finished above
                 ceiling = min(ceiling, bound[pos])
-            # s runs down rem's submasks; the first without rem's top vertex
-            # leaves it owed above s (see below), and so does every later one
+            # s runs down rem's submasks while it holds rem's top vertex T:
+            # a type without T leaves T owed, and every later type of the
+            # class, capped by s < 2**T, lacks T too
             s, top = rem + 1, 1 << rem.bit_length() - 1
             while (s := (s - 1) & rem) >= top:
                 if s > ceiling:
@@ -547,10 +548,6 @@ class AssignmentEnumerator:
                 spread = s * layers
                 nxt = owed & ~spread | owed >> n & spread
                 left = nxt & full
-                # any vertex still owed colours needs a later type of
-                # value >= 2**v, and later types are capped by s
-                if left and 1 << left.bit_length() - 1 > s:
-                    continue
                 # colourability is monotone in the lists: a colourable child
                 # never completes to a counterexample, and holds no leaf
                 # unless it finishes the last class (its leaf counts an orbit)

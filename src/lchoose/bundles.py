@@ -29,8 +29,7 @@ from .solver import CHOOSABLE, INCONCLUSIVE, NOT_CHOOSABLE, find_colouring, is_c
 
 def k42_block_sizes(k: int) -> list[tuple[int, int, int]]:
     """All block-size triples accepted by build_bad_k42 at list size k."""
-    if k < 2 or k % 2:
-        raise ValueError("total quota must be even and at least 2")
+    exception_graphs(k)  # refuses a total that is odd or below 2
     half = k // 2
     return [(s1, half - s1, half) for s1 in range(half + 1)]
 

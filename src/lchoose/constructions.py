@@ -1,7 +1,7 @@
 """Hand-built instances: the tight upper-bound gadget and two families of
 non-colourable assignments on the small exception graphs.
 
-The gadget realises, for quotas with a singletons, b twos and c larger odd
+The gadget realises, for quotas with a singletons, b twos and c quota-3
 entries, a non-choosable complete multipartite graph on 2k+3a+3 vertices
 over a universe of 2k-a colours.  Its structure is rigid enough that
 ``verify_gadget`` can re-derive every claimed property from scratch.
@@ -10,7 +10,7 @@ over a universe of 2k-a colours.  Its structure is rigid enough that
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from .assignment import (
     ColourPartition,
@@ -29,7 +29,7 @@ class StructureError(ValueError):
 
 
 # Seven menu rows for the size-5 parts (rows 0..4) and the size-2 parts
-# (rows 5, 6).  Offsets are into a block of 6 shared colours per odd quota
+# (rows 5, 6).  Offsets are into a block of 6 shared colours per quota-3
 # entry (triples) and 4 per quota-2 entry (pairs); every colour of a block
 # appears in 5 of the 7 rows for triples and in 3 plus 2 = a mixed pattern
 # for pairs, arranged so no system of distinct block choices covers a part.
@@ -51,20 +51,17 @@ _PAIR_PATTERNS = (
     (0, 1),
     (2, 3),
 )
+# per quota: the width of its class's colour block and each menu row's offsets
+# inside it; a singleton class's one colour lies in every list
+_BLOCKS = {1: (1, ((0,),) * 7), 2: (4, _PAIR_PATTERNS), 3: (6, _TRIPLE_PATTERNS)}
 
 
 @dataclass(frozen=True)
 class GadgetInstance:
-    ones: int
-    twos: int
-    threes: int
     graph: MultipartiteGraph
     lam: Lambda
     assignment: ListAssignment
     partition: ColourPartition
-    singleton_colours: tuple[int, ...]
-    pair_blocks: tuple[tuple[int, ...], ...]
-    triple_blocks: tuple[tuple[int, ...], ...]
 
 
 def build_gadget(ones: int, twos: int, threes: int, allow_zero_ones: bool = False) -> GadgetInstance:
@@ -72,7 +69,10 @@ def build_gadget(ones: int, twos: int, threes: int, allow_zero_ones: bool = Fals
 
     Requires threes >= 1.  The construction also needs at least one
     singleton quota; pass allow_zero_ones to build the degenerate shape
-    anyway (it is not certified non-colourable).
+    anyway (it is not certified non-colourable).  Each class owns one block
+    of colours, in ``lam.parts`` order, and a menu row's list is its
+    offsets inside every block.  With k = ``lam.total``, the ones+1 size-5
+    parts take rows 0..4 and the k-ones-1 size-2 parts rows 5 and 6.
     """
     if threes < 1:
         raise ValueError("need at least one quota-3 class")
@@ -81,64 +81,18 @@ def build_gadget(ones: int, twos: int, threes: int, allow_zero_ones: bool = Fals
     if ones < 0 or twos < 0:
         raise ValueError("negative multiplicities")
     lam = Lambda((1,) * ones + (2,) * twos + (3,) * threes)
-    k = lam.total
-    a = ones
-
-    sizes = (5,) * (a + 1) + (2,) * (k - a - 1)
-    graph = MultipartiteGraph(sizes)
-
-    # universe layout: singleton colours first, then 4 per quota-2 class,
-    # then 6 per larger class
-    singles = tuple(range(a))
-    pos = a
-    pairs = []
-    for _ in range(twos):
-        pairs.append(tuple(range(pos, pos + 4)))
-        pos += 4
-    triples = []
-    for _ in range(threes):
-        triples.append(tuple(range(pos, pos + 6)))
-        pos += 6
-    universe = pos
-    if universe != 2 * k - a:
-        raise StructureError("universe size drifted from 2k-a")
-
-    def row_mask(row: int) -> int:
-        m = 0
-        for c in singles:
-            m |= 1 << c
-        for block in pairs:
-            for off in _PAIR_PATTERNS[row]:
-                m |= 1 << block[off]
-        for block in triples:
-            for off in _TRIPLE_PATTERNS[row]:
-                m |= 1 << block[off]
-        return m
-
-    masks = []
-    for pi, size in enumerate(sizes):
-        if size == 5:
-            for j in range(5):
-                masks.append(row_mask(j))
-        else:
-            masks.append(row_mask(5))
-            masks.append(row_mask(6))
-    assignment = ListAssignment(universe, tuple(masks))
-
-    class_of = [0] * universe
-    for c in singles:
-        class_of[c] = singles.index(c)
-    for i, block in enumerate(pairs):
-        for c in block:
-            class_of[c] = a + i
-    for i, block in enumerate(triples):
-        for c in block:
-            class_of[c] = a + twos + i
-    partition = ColourPartition(lam, tuple(class_of))
-
+    pair_parts = lam.total - ones - 1
+    class_of, rows = [], [0] * 7
+    for i, quota in enumerate(lam.parts):
+        width, patterns = _BLOCKS[quota]
+        for r, offsets in enumerate(patterns):  # the block opens at colour len(class_of)
+            rows[r] |= sum(1 << len(class_of) + off for off in offsets)
+        class_of += [i] * width
     return GadgetInstance(
-        ones, twos, threes, graph, lam, assignment, partition,
-        singles, tuple(pairs), tuple(triples),
+        MultipartiteGraph((5,) * (ones + 1) + (2,) * pair_parts),
+        lam,
+        ListAssignment(len(class_of), tuple(rows[:5] * (ones + 1) + rows[5:] * pair_parts)),
+        ColourPartition(lam, class_of),
     )
 
 
@@ -184,9 +138,8 @@ def verify_gadget(inst: GadgetInstance) -> dict:
         raise StructureError("assignment admits no quota partition at all")
 
     colouring = find_colouring(inst.graph, inst.assignment)
-    if inst.ones >= 1:
-        if colouring is not None:
-            raise StructureError("assignment is properly colourable")
+    if a >= 1 and colouring is not None:
+        raise StructureError("assignment is properly colourable")
     return {
         "vertices": inst.graph.n,
         "universe": inst.assignment.universe_size,
@@ -200,7 +153,10 @@ def exception_graphs(k: int) -> tuple[MultipartiteGraph, MultipartiteGraph]:
     """The two minimal vertex-count shapes for the all-twos quota at total k.
 
     For even k >= 2 these are K(4,2,...,2) on 2k+2 vertices and
-    K(3,...,3,1,...,1) with k/2+1 threes and k/2-1 ones.
+    K(3,...,3,1,...,1) with k/2+1 threes and k/2-1 ones.  This is the one
+    home of both shapes and of the even-total rule: the builders and
+    enumerators below, and ``bundles.k42_block_sizes``, refuse any other
+    total through it.
     """
     if k < 2 or k % 2:
         raise ValueError("total quota must be even and at least 2")
@@ -225,15 +181,11 @@ def build_bad_k42(k: int, sizes: tuple[int, int, int]) -> tuple[MultipartiteGrap
         raise ValueError("block sizes out of range")
     if 2 * s1 + 2 * s3 != k or 2 * sb != k:
         raise ValueError("block sizes do not tile lists of size k")
-    graph = MultipartiteGraph((4,) + (2,) * (k - 1))
+    graph = exception_graphs(k)[0]
 
-    blocks = []
-    pos = 0
+    blocks, pos = [], 0
     for width in (s1, s1, s3, s3, sb, sb):
-        m = 0
-        for c in range(pos, pos + width):
-            m |= 1 << c
-        blocks.append(m)
+        blocks.append((1 << width) - 1 << pos)
         pos += width
     a1, a2, a3, a4, b1, b2 = blocks
     a_all = a1 | a2 | a3 | a4
@@ -265,8 +217,7 @@ class ThreesBadCandidate:
 
     def __post_init__(self) -> None:
         k = self.k
-        if k < 2 or k % 2:
-            raise ValueError("total quota must be even and at least 2")
+        exception_graphs(k)  # refuses a total that is odd or below 2
         half = k // 2
         u = 3 * half
         if len(self.miss) != half + 1:
@@ -288,8 +239,7 @@ class ThreesBadCandidate:
 
     @property
     def graph(self) -> MultipartiteGraph:
-        half = self.k // 2
-        return MultipartiteGraph((3,) * (half + 1) + (1,) * (half - 1))
+        return exception_graphs(self.k)[1]
 
     @property
     def assignment(self) -> ListAssignment:
@@ -367,16 +317,13 @@ class ThreesFamilyEnumerator:
     """
 
     def __init__(self, k: int, budget: Budget | None = None):
-        if k < 2 or k % 2:
-            raise ValueError("total quota must be even and at least 2")
-        _check_group((3,) * (k // 2 + 1) + (1,) * (k // 2 - 1))
+        self.graph = exception_graphs(k)[1]
+        _check_group(self.graph.part_sizes)
         self.k = k
         self.budget = budget if budget is not None else Budget()
         self.truncated = False
 
     def __iter__(self):
-        from itertools import product as iproduct
-
         k = self.k
         half = k // 2
         u = 3 * half
@@ -386,10 +333,9 @@ class ThreesFamilyEnumerator:
         lam = Lambda((k,))
         seen_forms: set[tuple] = set()
         seen: set[bytes] = set()
-        graph = MultipartiteGraph((3,) * (half + 1) + (1,) * (half - 1))
         partition = ColourPartition(lam, (0,) * u)
         vecs = list(_balanced_vectors(u, half))
-        for rows in iproduct(vecs, repeat=half):
+        for rows in product(vecs, repeat=half):
             if not self.budget.tick():
                 self.truncated = True
                 return
@@ -398,7 +344,7 @@ class ThreesFamilyEnumerator:
                 continue
             seen_forms.add(form)
             cand = ThreesBadCandidate(k, (base,) + tuple(rows), singles)
-            key = canonical_key(cand.assignment, graph, lam, partition)
+            key = canonical_key(cand.assignment, self.graph, lam, partition)
             if key in seen:
                 continue
             seen.add(key)
@@ -410,9 +356,8 @@ def random_threes_candidate(k: int, rng) -> ThreesBadCandidate:
 
     Miss vectors are uniform balanced vectors; each singleton part gets a
     uniform k-subset of the universe.  ``rng`` is a random.Random.
+    ``ThreesBadCandidate`` refuses a total that is odd or below 2.
     """
-    if k < 2 or k % 2:
-        raise ValueError("total quota must be even and at least 2")
     half = k // 2
     u = 3 * half
     rows = []

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
+from .lam import integers
+
 
 @dataclass(frozen=True)
 class MultipartiteGraph:
@@ -19,10 +21,7 @@ class MultipartiteGraph:
     part_sizes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        try:
-            sizes = tuple(sorted((int(s) for s in self.part_sizes), reverse=True))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"part sizes must be integers: {self.part_sizes!r}") from exc
+        sizes = tuple(sorted(integers(self.part_sizes, "part sizes"), reverse=True))
         if not sizes:
             raise ValueError("graph needs at least one part")
         if sizes[-1] < 1:

@@ -15,6 +15,21 @@ from dataclasses import dataclass
 INFINITE = math.inf
 
 
+def integers(values, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of plain ints; anything else raises ValueError.
+
+    bool is an int subclass, and ``int()`` would floor a float or parse a
+    string, so each of those is refused rather than converted.
+    """
+    try:
+        out = tuple(values)
+        if all(type(x) is int for x in out):
+            return out
+    except TypeError:
+        pass
+    raise ValueError(f"{what} must be integers: {values!r}")
+
+
 @dataclass(frozen=True)
 class Lambda:
     """Multiset of positive integer quotas, normalised to ascending order."""
@@ -22,10 +37,7 @@ class Lambda:
     parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        try:
-            ps = tuple(sorted(int(p) for p in self.parts))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"quota parts must be integers: {self.parts!r}") from exc
+        ps = tuple(sorted(integers(self.parts, "quota parts")))
         if not ps:
             raise ValueError("quota multiset must be nonempty")
         if ps[0] < 1:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import MultipartiteGraph
+from .lam import integers
 
 
 @dataclass(frozen=True)
@@ -23,11 +24,12 @@ class FourTuple:
     target: int
 
     def __post_init__(self) -> None:
-        if len(self.entries) != 4 or any(a < 0 for a in self.entries):
+        entries = integers(self.entries, "tuple entries")
+        if len(entries) != 4 or any(a < 0 for a in entries):
             raise ValueError("entries must be four nonnegative counts")
         if self.target < 1:
             raise ValueError("target quota must be positive")
-        object.__setattr__(self, "entries", tuple(int(a) for a in self.entries))
+        object.__setattr__(self, "entries", entries)
 
     @property
     def part_count(self) -> int:

@@ -18,6 +18,7 @@ from lchoose.assignment import (
 from lchoose.budget import Budget
 from lchoose.graphs import MultipartiteGraph
 from lchoose.lam import Lambda
+from lchoose.reduction import FourTuple
 
 from helpers import (
     naive_orbit_keys,
@@ -620,6 +621,25 @@ def test_dict_refuses_entries_that_are_not_integers(field, value):
     assignment_from_dict(doc)
     with pytest.raises(ValueError):
         assignment_from_dict({**doc, field: value})
+
+
+_CONSTRUCTORS = {
+    "lambda": lambda x: Lambda((x, 1, 2)),
+    "graph": lambda x: MultipartiteGraph((2, x)),
+    "partition": lambda x: ColourPartition(Lambda((1, 1)), (0, x)),
+    "four-tuple": lambda x: FourTuple((x, 0, 1, 0), 2),
+    "lists": lambda x: ListAssignment.from_lists(2, [[0, 1], [x]]),
+}
+
+
+@pytest.mark.parametrize("value", [1.9, True, "1"])
+@pytest.mark.parametrize("name", sorted(_CONSTRUCTORS))
+def test_constructors_refuse_entries_that_are_not_integers(name, value):
+    # each builds from the plain int 1; int() would floor 1.9 to 1, read True
+    # as 1 and parse "1", so a silent conversion would pass unnoticed
+    _CONSTRUCTORS[name](1)
+    with pytest.raises(ValueError, match="must be integers"):
+        _CONSTRUCTORS[name](value)
 
 
 @pytest.mark.parametrize(

@@ -1,18 +1,22 @@
 import dataclasses
 import hashlib
+import json
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
 
 from lchoose.assignment import (
     ColourPartition,
     ListAssignment,
+    assignment_to_dict,
     canonical_key,
     is_lambda_assignment,
     quota_counts,
 )
 from lchoose.budget import Budget
+from lchoose.bundles import k42_block_sizes
 from lchoose.constructions import (
     StructureError,
     ThreesBadCandidate,
@@ -81,6 +85,33 @@ def test_verify_gadget_catches_sabotage():
     small = dataclasses.replace(inst, graph=MultipartiteGraph((5, 5, 2)))
     with pytest.raises(StructureError):
         verify_gadget(small)
+
+
+def test_constructed_instances_pinned():
+    # sha256 over every gadget (ones 0-3, twos 0-3, threes 1-3), both
+    # exception shapes and every k42 block-size triple at k = 2..10, seeded
+    # miss-vector candidates and three enumerator streams: graph text plus
+    # lists and partition, so a rewrite of the builders must keep each byte
+    docs = []
+    for ones, twos, threes in product(range(4), range(4), range(1, 4)):
+        inst = build_gadget(ones, twos, threes, allow_zero_ones=True)
+        docs.append([inst.graph.text(), assignment_to_dict(inst.assignment, inst.partition)])
+    for k in range(2, 11, 2):
+        docs.append([g.text() for g in exception_graphs(k)])
+        for sizes in k42_block_sizes(k):
+            graph, la = build_bad_k42(k, sizes)
+            docs.append([list(sizes), graph.text(), assignment_to_dict(la)])
+    rng = random.Random(14)
+    for k in (2, 4, 6, 8, 10):
+        for _ in range(3):
+            cand = random_threes_candidate(k, rng)
+            docs.append([cand.graph.text(), assignment_to_dict(cand.assignment)])
+    for k, rows in ((2, None), (4, 1000), (6, 100)):
+        for cand in ThreesFamilyEnumerator(k, Budget(max_nodes=rows)):
+            docs.append([cand.graph.text(), assignment_to_dict(cand.assignment)])
+    assert len(docs) == 113
+    digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+    assert digest == "7e6ea579b40a0067c46bada09c4a6ff286cb3b71e65bb7e784c02d6a1442a150"
 
 
 def test_exception_graphs():
@@ -244,8 +275,6 @@ def test_forced_parity_check_refutes_large_odd_quotas_quickly():
     # inputs the benchmark leaves out for time: the forced path must refute
     # them at the root, not by exhausting the partition search
     import time
-
-    from lchoose.bundles import k42_block_sizes
 
     cases = [(*build_bad_k42(10, sizes), (1, 2, 3, 4)) for sizes in k42_block_sizes(10)]
     rng = random.Random(10)

@@ -61,6 +61,14 @@ def test_verify_below_finds_blockers():
         assert c.verdict.status == NOT_CHOOSABLE
 
 
+def test_verify_below_trivial_lambda():
+    # every graph is colourable from lists of the all-singletons quota
+    report = verify_choosable_below(Lambda((1, 1)), 8)
+    assert report.ok and bool(report)
+    assert report.cells == () and report.blockers() == ()
+    assert report.to_dict() == {"lambda": [1, 1], "below": 8, "ok": True, "cells": []}
+
+
 def test_verify_below_budget_starved():
     report = verify_choosable_below(Lambda((2,)), 6, budget_nodes=20)
     assert not report.ok
