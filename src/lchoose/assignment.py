@@ -57,12 +57,13 @@ class ListAssignment:
     masks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.universe_size < 1:
+        (universe,) = integers((self.universe_size,), "universe size")
+        if universe < 1:
             raise ValueError("universe must contain at least one colour")
-        masks = tuple(self.masks)
+        masks = integers(self.masks, "list masks")
         if not masks:
             raise ValueError("assignment needs at least one vertex")
-        full = (1 << self.universe_size) - 1
+        full = (1 << universe) - 1
         seen = 0
         for v, m in enumerate(masks):
             if m == 0:

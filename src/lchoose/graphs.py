@@ -93,11 +93,7 @@ class ColourableSets:
         n = graph.n
         self.full = (1 << n) - 1
         self._part_masks = tuple(((1 << len(p)) - 1) << p.start for p in graph.parts)
-        # without[v], the subsets missing v, by the 0x00FF -> 0x0F0F ladder
-        without = [(1 << (1 << (n - 1))) - 1]
-        for v in range(n - 1, 0, -1):
-            without.append(without[-1] ^ without[-1] << (1 << v >> 1))
-        self._without = tuple(reversed(without))
+        self._without = subsets_without(n)
 
     def add(self, family: int, type_mask: int) -> int:
         """The family once a colour on the vertices of ``type_mask`` joins."""
@@ -111,6 +107,15 @@ class ColourableSets:
                 t ^= low
             out |= g
         return out
+
+
+def subsets_without(n: int) -> tuple[int, ...]:
+    """Per element e < n, the 2**n-bit family of the subsets of range(n) that
+    miss e, built by the 0x00FF -> 0x0F0F ladder."""
+    without = [(1 << (1 << (n - 1))) - 1]
+    for e in range(n - 1, 0, -1):
+        without.append(without[-1] ^ without[-1] << (1 << e >> 1))
+    return tuple(reversed(without))
 
 
 def part_vectors(n: int, k: int) -> Iterator[tuple[int, ...]]:

@@ -27,7 +27,8 @@ class FourTuple:
         entries = integers(self.entries, "tuple entries")
         if len(entries) != 4 or any(a < 0 for a in entries):
             raise ValueError("entries must be four nonnegative counts")
-        if self.target < 1:
+        (target,) = integers((self.target,), "target quota")
+        if target < 1:
             raise ValueError("target quota must be positive")
         object.__setattr__(self, "entries", entries)
 

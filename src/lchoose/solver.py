@@ -3,29 +3,42 @@ machinery built on top of it.
 
 Vertices in different parts must receive different colours, so a proper
 colouring assigns each part a set of colours disjoint from every other
-part's set, with each vertex picking from its own list.  The one-shot search
-below branches over inclusion-minimal colour covers of one part at a time,
-and scales past the 2**n-bit families the orbit walk decides with.  A part's
-covers are enumerated once per call and each node keeps those inside its
-free colours, which are exactly the covers of the lists cut to them.  Each
-node first counts colours: a part with lists inside a colour set X needs one
-colour of X, or two if those lists share none (Hall's condition, deficiency
-form), and a node whose parts need more than X holds fails unbranched.
+part's set, with each vertex picking from its own list: each part in turn
+takes an inclusion-minimal cover of its lists.  Up to ``_TABLE_COLOURS``
+colours, exact tables decide this: the subset DP of ``ColourableSets`` run
+over the 2**u colour sets (Bjorklund, Husfeldt & Koivisto, SIAM J. Comput.
+2009), each family one 2**u-bit integer.  ``ok[i]``, the free sets from which
+parts i.. can be coloured, is the OR over part i's minimal covers x of
+``(ok[i+1] & sets_disjoint_from(x)) << x``, and a forward pass takes each
+part's first cover with the rest of its free colours in ``ok[i+1]``.
+Above that the 2**u-bit tables cost more than a depth-first search over
+minimal covers.  A part's covers are enumerated once per call and each node
+keeps those inside its free colours, which are exactly the covers of the
+lists cut to them.  Each node first counts colours: a part with lists inside
+a colour set X needs one colour of X, or two if those lists share none
+(Hall's condition, deficiency form), and a node whose parts need more than X
+holds fails unbranched.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 from .assignment import AssignmentEnumerator, ColourPartition, ListAssignment, assignment_to_dict
 from .budget import Budget
-from .graphs import ColourableSets, MultipartiteGraph
+from .graphs import ColourableSets, MultipartiteGraph, subsets_without
 from .lam import Lambda
 
 CHOOSABLE = "CHOOSABLE"
 NOT_CHOOSABLE = "NOT_CHOOSABLE"
 INCONCLUSIVE = "INCONCLUSIVE"
+
+# tables up to this many colours, the cover search above: at 20 colours the
+# k42 family takes 70-90 ms with tables and 2-5 ms without
+_TABLE_COLOURS = 16
+_sets_without = cache(subsets_without)  # at most 16 entries
 
 
 @dataclass(frozen=True)
@@ -121,33 +134,43 @@ def _short_of_colours(lists: list[tuple[int, ...]], avail: int) -> bool:
 def find_colouring(graph: MultipartiteGraph, assignment: ListAssignment) -> Colouring | None:
     """First proper colouring from the lists, or None.
 
-    Deterministic: parts are processed largest first (ties by vertex order)
-    and candidate covers in (size, value) order.  While two or more parts
-    remain, a node fails if some X (its free colours, or one list cut to
-    them) is short of colours.  Sound: parts take disjoint colour sets, and a
-    part with one colour c in X gives c to each vertex whose list lies in X,
-    so c is in all those lists.  Each part's covers come from one enumeration
-    per call, filtered per node.  The first colouring found is thus unchanged.
+    Deterministic: parts are taken largest first, as the graph sorts them,
+    and each takes its first minimal cover in (size, value) order that leaves
+    the later parts colourable; each vertex takes its least colour in the
+    cover.  Both paths find this colouring: the search's colour count cuts
+    only failing subtrees, and a search subtree succeeds exactly when its
+    free colours lie in the table of the parts after it.
     """
     if assignment.n != graph.n:
         raise ValueError("assignment and graph disagree on the vertex count")
-    parts = graph.parts
-    order = sorted(range(graph.k), key=lambda i: (-graph.part_sizes[i], i))
-    colour_of = [0] * graph.n
+    search = _table_search if assignment.universe_size <= _TABLE_COLOURS else _cover_search
+    return search(graph, assignment)
+
+
+def _paint(lists: list[tuple[int, ...]], chosen: list[int]) -> Colouring:
+    """Each vertex takes its least colour in its part's cover; parts hold
+    consecutive vertices, so their lists concatenate in vertex order."""
+    picks = (m & cover for masks, cover in zip(lists, chosen) for m in masks)
+    return Colouring(tuple((pick & -pick).bit_length() - 1 for pick in picks))
+
+
+def _cover_search(graph: MultipartiteGraph, assignment: ListAssignment) -> Colouring | None:
+    """The depth-first cover search.  While two or more parts remain, a node
+    fails if some X (its free colours, or one list cut to them) is short of
+    colours.  Sound: parts take disjoint colour sets, and a part with one
+    colour c in X gives c to each vertex whose list lies in X."""
+    lists = [assignment.masks[part.start:part.stop] for part in graph.parts]
+    chosen = [0] * len(lists)
     memo_fail: set[tuple[int, int]] = set()
-    full = 0
-    for m in assignment.masks:
-        full |= m
-    lists = [tuple(assignment.masks[v] for v in parts[i]) for i in order]
     covers: dict[tuple[int, ...], list[int]] = {}  # per part's lists, uncut
 
     def solve(pi: int, avail: int) -> bool:
-        if pi == len(order):
+        if pi == len(lists):
             return True
         key = (pi, avail)
         if key in memo_fail:
             return False
-        if pi + 1 < len(order) and _short_of_colours(lists[pi:], avail):
+        if pi + 1 < len(lists) and _short_of_colours(lists[pi:], avail):
             memo_fail.add(key)
             return False
         masks = lists[pi]
@@ -155,16 +178,66 @@ def find_colouring(graph: MultipartiteGraph, assignment: ListAssignment) -> Colo
             covers[masks] = _minimal_covers(masks)
         for cover in covers[masks]:
             if not cover & ~avail and solve(pi + 1, avail & ~cover):
-                for v, m in zip(parts[order[pi]], masks):
-                    pick = m & cover
-                    colour_of[v] = (pick & -pick).bit_length() - 1
+                chosen[pi] = cover
                 return True
         memo_fail.add(key)
         return False
 
-    if solve(0, full):
-        return Colouring(tuple(colour_of))
-    return None
+    return _paint(lists, chosen) if solve(0, (1 << assignment.universe_size) - 1) else None
+
+
+def _disjoint(without: tuple[int, ...], colours: int) -> int:
+    """The family of colour sets that miss every colour in ``colours``."""
+    out = -1
+    while colours:
+        low = colours & -colours
+        out &= without[low.bit_length() - 1]
+        colours ^= low
+    return out
+
+
+def _table_covers(masks: tuple[int, ...], u: int) -> tuple[int, list[int]]:
+    """The covering family of ``masks``, as a 2**u-bit table, and its minimal
+    members (none one colour smaller) in ``_minimal_covers``' order."""
+    without = _sets_without(u)
+    family = (1 << (1 << u)) - 1
+    for m in set(masks):
+        family &= ~_disjoint(without, m)
+    above = 0
+    for c in range(u):
+        above |= (family & without[c]) << (1 << c)
+    bits, minimal = bin(family & ~above)[:1:-1], []
+    i = bits.find("1")
+    while i >= 0:
+        minimal.append(i)
+        i = bits.find("1", i + 1)
+    return family, sorted(minimal, key=int.bit_count)
+
+
+def _table_search(graph: MultipartiteGraph, assignment: ListAssignment) -> Colouring | None:
+    """The exact tables: no backtracking, since a part's cover is kept only
+    when the rest of its free colours lie in ``ok`` of the parts after it."""
+    u = assignment.universe_size
+    without = _sets_without(u)
+    lists = [assignment.masks[part.start:part.stop] for part in graph.parts]
+    tables = {masks: _table_covers(masks, u) for masks in set(lists)}
+    # the last part's ok is its covering family: the sets holding one of its covers
+    ok = [0] * (len(lists) - 1) + [tables[lists[-1]][0], (1 << (1 << u)) - 1]
+    for i in reversed(range(len(lists) - 1)):
+        later = ok[i + 1]
+        for x in tables[lists[i]][1]:
+            ok[i] |= (later & _disjoint(without, x)) << x
+    free = (1 << u) - 1
+    if not ok[0] >> free & 1:
+        return None
+    chosen = []
+    for masks, later in zip(lists, ok[1:]):
+        for x in tables[masks][1]:
+            if not x & ~free and later >> (free & ~x) & 1:
+                break
+        chosen.append(x)
+        free &= ~x
+    return _paint(lists, chosen)
 
 
 def make_colourability_oracle(graph: MultipartiteGraph) -> Callable[[tuple[int, ...]], bool]:

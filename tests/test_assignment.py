@@ -629,14 +629,18 @@ _CONSTRUCTORS = {
     "partition": lambda x: ColourPartition(Lambda((1, 1)), (0, x)),
     "four-tuple": lambda x: FourTuple((x, 0, 1, 0), 2),
     "lists": lambda x: ListAssignment.from_lists(2, [[0, 1], [x]]),
+    "universe": lambda x: ListAssignment(x, (1, 1)),
+    "masks": lambda x: ListAssignment(1, (1, x)),
+    "target": lambda x: FourTuple((1, 0, 1, 0), x),
 }
 
 
-@pytest.mark.parametrize("value", [1.9, True, "1"])
+@pytest.mark.parametrize("value", [1.9, True, "1", 2.0])
 @pytest.mark.parametrize("name", sorted(_CONSTRUCTORS))
 def test_constructors_refuse_entries_that_are_not_integers(name, value):
     # each builds from the plain int 1; int() would floor 1.9 to 1, read True
-    # as 1 and parse "1", so a silent conversion would pass unnoticed
+    # as 1 and parse "1", so a silent conversion would pass unnoticed, and
+    # a float universe like 2.0 would fail later with a TypeError
     _CONSTRUCTORS[name](1)
     with pytest.raises(ValueError, match="must be integers"):
         _CONSTRUCTORS[name](value)

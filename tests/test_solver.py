@@ -193,9 +193,78 @@ def test_first_colouring_pinned():
     assert digest == "d0e4d45f05cda10a9f38ca13c5c39c8b1e01ebbd4ad476a4109978f0b2e1fc7e"
 
 
+def test_tables_and_cover_search_give_the_same_first_colouring():
+    # a search subtree succeeds exactly when its free colours lie in the
+    # table of the parts below it, so both paths take the same covers
+    cases = [
+        (graph, la) for graph, la in _pinned_colouring_cases()
+        if la.universe_size <= solver._TABLE_COLOURS
+    ]
+    gadgets = [build_gadget(*sizes) for sizes in ((2, 2, 1), (1, 2, 1))]
+    assert all((g.graph, g.assignment) in cases for g in gadgets)
+    assert max(la.universe_size for _, la in cases) == solver._TABLE_COLOURS
+    for graph, la in cases:
+        got = solver._table_search(graph, la)
+        assert got == solver._cover_search(graph, la), (graph, la)
+        if got is not None:
+            check_proper(graph, la, got)
+
+
+def _table_rule_boundary_cases(seed: int, count: int):
+    """Seeded cases on both sides of the table rule: 16 or 17 colours, lists
+    of two, and parts of two or three vertices until they hold the universe,
+    so the Hall-type count decides about half of them either way."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        u = rng.choice((16, 17))
+        sizes = []
+        while sum(sizes) < u:
+            sizes.append(rng.choice((2, 3)))
+        union = 0
+        while union != (1 << u) - 1:
+            masks = tuple(sum(1 << c for c in rng.sample(range(u), 2)) for _ in range(sum(sizes)))
+            union = 0
+            for m in masks:
+                union |= m
+        yield MultipartiteGraph(tuple(sizes)), ListAssignment(u, masks)
+
+
+def test_table_rule_boundary_agrees_with_subset_dp():
+    # 16 colours take the tables and 17 the cover search; the vertex-set
+    # subset DP shares no code with either
+    outcomes = {}
+    for graph, la in _table_rule_boundary_cases(seed=1617, count=200):
+        got = find_colouring(graph, la)
+        assert (got is not None) is make_colourability_oracle(graph)(la.masks), (graph, la)
+        if got is not None:
+            check_proper(graph, la, got)
+        outcomes.setdefault(la.universe_size, set()).add(got is not None)
+    assert outcomes == {16: {False, True}, 17: {False, True}}
+
+
+def test_table_rule_picks_the_path_by_universe_size(monkeypatch):
+    # one search per call, chosen by the universe size alone
+    taken = []
+
+    def traced(name, search):
+        def run(graph, la):
+            taken.append(name)
+            return search(graph, la)
+        return run
+
+    for name in ("_table_search", "_cover_search"):
+        monkeypatch.setattr(solver, name, traced(name, getattr(solver, name)))
+    for graph, la in _table_rule_boundary_cases(seed=1617, count=20):
+        find_colouring(graph, la)
+        tables = la.universe_size <= solver._TABLE_COLOURS
+        assert taken == ["_table_search" if tables else "_cover_search"]
+        taken.clear()
+
+
 def test_colour_count_agrees_with_subset_dp(monkeypatch):
     # where the colour-counting bound cuts nodes, the cover search must still
-    # agree with the subset DP, which shares no code with it
+    # agree with the subset DP, which shares no code with it; these universes
+    # take the tables in find_colouring, so the search is called directly
     cut = []
     count = solver._short_of_colours
 
@@ -212,7 +281,7 @@ def test_colour_count_agrees_with_subset_dp(monkeypatch):
         if graph not in oracles:
             oracles[graph] = make_colourability_oracle(graph)
         cut.clear()
-        got = find_colouring(graph, la)
+        got = solver._cover_search(graph, la)
         cases_cut += any(cut)
         assert (got is not None) is oracles[graph](la.masks), (graph, la)
         if got is not None:
@@ -253,17 +322,19 @@ def test_minimal_covers_filter_by_free_colours():
         universe = rng.randint(1, 10)
         full = (1 << universe) - 1
         masks = tuple(rng.randint(1, full) for _ in range(rng.randint(1, 5)))
-        covers = solver._minimal_covers(masks)
-        if universe <= 8:
-            assert covers == _brute_minimal_covers(masks, universe), masks
         avail = rng.randint(0, full)
         cut = tuple(m & avail for m in masks)
-        if all(cut):
-            assert [c for c in covers if not c & ~avail] == solver._minimal_covers(cut)
-            checked += 1
-        else:
-            assert not [c for c in covers if not c & ~avail]
-    assert checked > 1000
+        # the cover search's enumeration, and the minimal members of the tables
+        for covers_of in (solver._minimal_covers, lambda ms: solver._table_covers(ms, universe)[1]):
+            covers = covers_of(masks)
+            if universe <= 8:
+                assert covers == _brute_minimal_covers(masks, universe), masks
+            if all(cut):
+                assert [c for c in covers if not c & ~avail] == covers_of(cut)
+                checked += 1
+            else:
+                assert not [c for c in covers if not c & ~avail]
+    assert checked > 2000
 
 
 @pytest.mark.parametrize("sizes", [(3, 2, 1), (1, 3, 1), (1, 0, 3)])
