@@ -8,7 +8,6 @@ from .assignment import (
     assignment_from_dict,
     assignment_to_dict,
     canonical_key,
-    enumerate_lambda_assignments,
     is_lambda_assignment,
     trim_to_exact,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "build_bad_k42",
     "build_gadget",
     "canonical_key",
-    "enumerate_lambda_assignments",
     "exception_graphs",
     "find_colouring",
     "find_reducible_4tuple",

@@ -35,7 +35,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, permutations, product
+from itertools import accumulate, chain, compress, permutations, product
 from typing import Iterator
 
 from .budget import Budget
@@ -114,9 +114,6 @@ class ColourPartition:
     def universe_size(self) -> int:
         return len(self.class_of)
 
-    def class_mask(self, i: int) -> int:
-        return self.class_masks()[i]
-
     def class_masks(self) -> tuple[int, ...]:
         out = [0] * self.lam.size
         for c, ci in enumerate(self.class_of):
@@ -133,10 +130,10 @@ def quota_counts(assignment: ListAssignment, partition: ColourPartition) -> list
             for v in range(assignment.n)]
 
 
-def _colour_types(assignment: ListAssignment) -> list[int]:
-    # per colour, the vertices whose lists hold it
-    return [sum(1 << v for v, m in enumerate(assignment.masks) if m >> c & 1)
-            for c in range(assignment.universe_size)]
+def _transpose(rows, width: int) -> list[int]:
+    """Per bit j < width, the rows holding it as a mask over row indices: list
+    masks to colour types (the vertices whose lists hold each colour), and back."""
+    return [sum(1 << i for i, r in enumerate(rows) if r >> j & 1) for j in range(width)]
 
 
 def _parity_blocked(masks: tuple[int, ...], lam: Lambda) -> bool:
@@ -193,7 +190,7 @@ def is_lambda_assignment(assignment: ListAssignment, lam: Lambda) -> ColourParti
     ks = lam.parts
     n = assignment.n
     universe = assignment.universe_size
-    types = _colour_types(assignment)
+    types = _transpose(assignment.masks, universe)
     order = sorted(range(universe), key=lambda c: (-types[c].bit_count(), c))
     full = (1 << n) - 1
     # bit 0 of every layer: lam.total layers for the counters, universe for supply
@@ -301,33 +298,15 @@ def vertex_group(part_sizes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     swap.  Enumerated explicitly, so guarded against huge groups.
     """
     _check_group(part_sizes)
-    sizes = part_sizes
-    k = len(sizes)
-    n = sum(sizes)
-    starts = []
-    acc = 0
-    for s in sizes:
-        starts.append(acc)
-        acc += s
-    by_size: dict[int, list[int]] = {}
-    for i, s in enumerate(sizes):
-        by_size.setdefault(s, []).append(i)
-    size_items = sorted(by_size.items())
+    parts = [range(end - s, end) for s, end in zip(part_sizes, accumulate(part_sizes))]
+    # the lanes follow this order: swaps of equal-size parts (sizes ascending)
+    # outermost, then the vertices' images part by part
+    groups = [[p for p in parts if len(p) == s] for s in sorted(set(part_sizes))]
     perms: list[tuple[int, ...]] = []
-    for targets_combo in product(*(permutations(idxs) for _, idxs in size_items)):
-        part_map = [0] * k
-        for (_, idxs), targets in zip(size_items, targets_combo):
-            for src, dst in zip(idxs, targets):
-                part_map[src] = dst
-        for withins in product(*(permutations(range(s)) for s in sizes)):
-            perm = [0] * n
-            for i in range(k):
-                base = starts[part_map[i]]
-                w = withins[i]
-                s0 = starts[i]
-                for o in range(sizes[i]):
-                    perm[s0 + o] = base + w[o]
-            perms.append(tuple(perm))
+    for targets in product(*map(permutations, groups)):
+        dest = dict(zip(chain(*groups), chain(*targets)))
+        images = product(*(permutations(dest[p]) for p in parts))
+        perms += (tuple(chain(*row)) for row in images)
     return tuple(perms)
 
 
@@ -387,7 +366,7 @@ def _canonical_blocks(part_sizes: tuple[int, ...], blocks: Blocks) -> Blocks:
 
 
 def _blocks_of(assignment: ListAssignment, lam: Lambda, partition: ColourPartition) -> Blocks:
-    type_masks = _colour_types(assignment)
+    type_masks = _transpose(assignment.masks, assignment.universe_size)
     per_class: list[list[int]] = [[] for _ in range(lam.size)]
     for c, ci in enumerate(partition.class_of):
         per_class[ci].append(type_masks[c])
@@ -463,10 +442,10 @@ class AssignmentEnumerator:
     class, whose leaf test still counts the orbit; any other colourable child
     holds no leaf, so the walk never opens a class on a colourable family.
 
-    Every state the walk enters ticks the budget once; ``truncated`` reports
-    whether the budget cut the walk short, and ``orbits_seen`` counts the
-    canonical leaves reached.  Shapes whose vertex group is too large for the
-    leaf canonical forms raise ValueError at once.
+    Every state the walk enters ticks the budget once; ``truncated`` reads
+    ``budget.exhausted``, and ``orbits_seen`` counts the canonical leaves
+    reached.  Shapes whose vertex group is too large for the leaf canonical
+    forms raise ValueError at once.
     """
 
     def __init__(
@@ -481,19 +460,20 @@ class AssignmentEnumerator:
         self.lam = lam
         self.budget = budget if budget is not None else Budget()
         self.prune = prune_colourable
-        self.truncated = False
         self.orbits_seen = 0
         self._gen = self._walk()
 
     def __iter__(self) -> Iterator[tuple[ListAssignment, ColourPartition]]:
         return self._gen
 
+    @property
+    def truncated(self) -> bool:
+        return self.budget.exhausted
+
     def _build(self, done: tuple[tuple[int, ...], ...]):
         # colours are numbered in placement order
         types = [s for cls in done for s in cls]
-        masks = tuple(
-            sum(1 << c for c, s in enumerate(types) if s >> v & 1) for v in range(self.graph.n)
-        )
+        masks = tuple(_transpose(types, self.graph.n))
         class_of = tuple(len(done) - 1 - ci for ci, cls in enumerate(done) for _ in cls)
         return ListAssignment(len(types), masks), ColourPartition(self.lam, class_of)
 
@@ -512,7 +492,6 @@ class AssignmentEnumerator:
 
         def grow(ci, done, cls, owed, family, gens, images, bound):
             if not tick():
-                self.truncated = True
                 return
             rem = owed & full
             if rem == 0:
@@ -575,24 +554,10 @@ class AssignmentEnumerator:
                 else:
                     yield from grow(ci, done, p, nxt, fam, gens, lifted,
                                     bound if bound is not None and s == bound[pos] else None)
-                    if self.truncated:
-                        return
 
         gens = _generators(part_sizes)
         yield from grow(0, (), start, (1 << quotas[0] * n) - 1, ColourableSets.EMPTY,
                         gens, [start] * len(gens), None)
-
-
-def enumerate_lambda_assignments(
-    graph: MultipartiteGraph, lam: Lambda, budget: Budget | None = None
-) -> AssignmentEnumerator:
-    """Orbit stream of exact assignments of ``graph`` for ``lam``.
-
-    Iterate the returned enumerator for ``(assignment, partition)`` pairs;
-    check its ``truncated`` flag afterwards to distinguish a proved-complete
-    walk from one cut off by the budget.
-    """
-    return AssignmentEnumerator(graph, lam, budget)
 
 
 def assignment_to_dict(

@@ -5,15 +5,18 @@ from __future__ import annotations
 
 import time
 
+from .lam import integers
+
 
 class Budget:
     __slots__ = ("max_nodes", "max_seconds", "nodes", "_deadline", "exhausted")
 
     def __init__(self, max_nodes: int | None = None, max_seconds: float | None = None):
-        if max_nodes is not None and max_nodes < 0:
+        # a bool would count as one, a float node limit would floor, nan never expires
+        if max_nodes is not None and integers((max_nodes,), "max_nodes")[0] < 0:
             raise ValueError("max_nodes must be nonnegative")
-        if max_seconds is not None and max_seconds < 0:
-            raise ValueError("max_seconds must be nonnegative")
+        if max_seconds is not None and not (type(max_seconds) in (int, float) and max_seconds >= 0):
+            raise ValueError(f"max_seconds must be a nonnegative number: {max_seconds!r}")
         self.max_nodes = max_nodes
         self.max_seconds = max_seconds
         self.nodes = 0

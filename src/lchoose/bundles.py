@@ -24,7 +24,7 @@ from .assignment import is_lambda_assignment
 from .lam import Lambda
 from .reduction import FourTuple, find_reducible_4tuple, peel_recipes
 from .search import verify_choosable_below
-from .solver import CHOOSABLE, INCONCLUSIVE, NOT_CHOOSABLE, find_colouring, is_choosable
+from .solver import CHOOSABLE, NOT_CHOOSABLE, find_colouring, is_choosable
 
 
 def k42_block_sizes(k: int) -> list[tuple[int, int, int]]:
@@ -44,17 +44,15 @@ def bundle_phi2(threads: int = 1, budget_nodes: int | None = None) -> dict:
     verdicts = {g.text(): is_choosable(g, lam, Budget(max_nodes=budget_nodes)) for g in (g1, g2)}
     witnesses_ok = all(v.status == NOT_CHOOSABLE for v in verdicts.values())
     ok = below.ok and witnesses_ok
-    # a refuted fact is a hard failure; a budget-starved run is merely open
+    # a refuted fact is a hard failure; any other shortfall is a cell or
+    # witness left INCONCLUSIVE, which is merely open
     hard_fail = any(c.verdict.status == NOT_CHOOSABLE for c in below.cells) or any(
         v.status == CHOOSABLE for v in verdicts.values()
-    )
-    truncated = any(not c.verdict.exhaustive for c in below.cells) or any(
-        v.status == INCONCLUSIVE for v in verdicts.values()
     )
     return {
         "bundle": "phi2-exhaustive",
         "ok": ok,
-        "inconclusive": bool(not ok and not hard_fail and truncated),
+        "inconclusive": not ok and not hard_fail,
         "phi": 6 if ok else None,
         "below": below.to_dict(),
         "witnesses": {name: v.to_dict() for name, v in verdicts.items()},

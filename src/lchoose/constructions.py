@@ -308,8 +308,9 @@ class ThreesFamilyEnumerator:
     orbit of an earlier tuple and is skipped without a canonical key.  The
     others get a full ``canonical_key``, and a candidate is yielded when that
     key is new.  The first tuple of every orbit in iteration order always
-    reaches its key, so the yielded candidates, their order, ``truncated``
-    and the budget's node count are those of a walk that keys every tuple.
+    reaches its key, so the yielded candidates, their order and the budget's
+    state (its node count, and ``exhausted``, which ``truncated`` reads) are
+    those of a walk that keys every tuple.
     Singleton lists are fixed to the lowest k colours to keep the family
     finite; the counting argument above is indifferent to them.  Totals
     whose vertex group is too large for canonical keys (k >= 8) raise
@@ -321,7 +322,10 @@ class ThreesFamilyEnumerator:
         _check_group(self.graph.part_sizes)
         self.k = k
         self.budget = budget if budget is not None else Budget()
-        self.truncated = False
+
+    @property
+    def truncated(self) -> bool:
+        return self.budget.exhausted
 
     def __iter__(self):
         k = self.k
@@ -337,7 +341,6 @@ class ThreesFamilyEnumerator:
         vecs = list(_balanced_vectors(u, half))
         for rows in product(vecs, repeat=half):
             if not self.budget.tick():
-                self.truncated = True
                 return
             form = _miss_normal_form(rows, half)
             if form in seen_forms:

@@ -90,10 +90,6 @@ class Lambda:
         """All quotas equal 1; choosability then degenerates to colourability."""
         return self.parts[-1] == 1
 
-    def stats(self) -> tuple[int, int, int, int]:
-        """(total, size, multiplicity of 1, number of odd parts)."""
-        return (self.total, self.size, self.m_one, self.m_odd)
-
     def __str__(self) -> str:
         return ",".join(str(p) for p in self.parts)
 

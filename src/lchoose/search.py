@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .budget import Budget
 from .graphs import MultipartiteGraph, part_vectors
 from .lam import Lambda
-from .solver import CHOOSABLE, INCONCLUSIVE, NOT_CHOOSABLE, Verdict, is_choosable
+from .solver import CHOOSABLE, NOT_CHOOSABLE, Verdict, is_choosable
 
 
 @dataclass(frozen=True)
@@ -124,9 +124,7 @@ class BelowReport:
         return self.ok
 
     def blockers(self) -> tuple[CellResult, ...]:
-        return tuple(
-            c for c in self.cells if c.verdict.status != CHOOSABLE or not c.verdict.exhaustive
-        )
+        return tuple(c for c in self.cells if c.verdict.status != CHOOSABLE)
 
     def to_dict(self) -> dict:
         return {
@@ -145,8 +143,8 @@ def verify_choosable_below(
 ) -> BelowReport:
     """Check that all shapes with fewer than ``n`` vertices are choosable.
 
-    True only when every such cell came back CHOOSABLE with an exhaustive
-    walk, which makes the result a genuine lower-bound certificate.
+    True only when every such cell came back CHOOSABLE, which takes an
+    exhaustive walk, so the result is a genuine lower-bound certificate.
     Raises ValueError when ``threads`` is below 1.
     """
     if threads < 1:
@@ -158,5 +156,5 @@ def verify_choosable_below(
     for m in range(k, n):
         jobs.extend((sizes, lam.parts, budget_nodes, None) for sizes in part_vectors(m, k))
     cells = _run_cells(jobs, threads)
-    ok = all(c.verdict.status == CHOOSABLE and c.verdict.exhaustive for c in cells)
+    ok = all(c.verdict.status == CHOOSABLE for c in cells)
     return BelowReport(lam, n, tuple(cells), ok)

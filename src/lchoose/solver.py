@@ -26,7 +26,9 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Callable
 
-from .assignment import AssignmentEnumerator, ColourPartition, ListAssignment, assignment_to_dict
+from .assignment import (
+    AssignmentEnumerator, ColourPartition, ListAssignment, _transpose, assignment_to_dict,
+)
 from .budget import Budget
 from .graphs import ColourableSets, MultipartiteGraph, subsets_without
 from .lam import Lambda
@@ -52,18 +54,21 @@ class Colouring:
 class Verdict:
     """Outcome of a choosability check.
 
-    ``exhaustive`` is True only when every assignment orbit was examined, so
-    a CHOOSABLE verdict with exhaustive=False would be unsound and is never
-    produced; such runs report INCONCLUSIVE instead.  NOT_CHOOSABLE is
+    A walk cut short by its budget, or never started, is INCONCLUSIVE;
+    CHOOSABLE means every assignment orbit was examined.  NOT_CHOOSABLE is
     witnessed by ``counterexample`` and is always final.
     """
 
     status: str
-    exhaustive: bool
     orbits_checked: int
     universe_bound: int
     counterexample: tuple[ListAssignment, ColourPartition] | None = None
     reason: str | None = None  # why an INCONCLUSIVE run stopped
+
+    @property
+    def exhaustive(self) -> bool:
+        """False exactly for INCONCLUSIVE, the only status that is not final."""
+        return self.status != INCONCLUSIVE
 
     def to_dict(self) -> dict:
         ce = self.counterexample
@@ -253,8 +258,8 @@ def make_colourability_oracle(graph: MultipartiteGraph) -> Callable[[tuple[int, 
         if len(masks) != graph.n:
             raise ValueError("masks and graph disagree on the vertex count")
         family = ColourableSets.EMPTY
-        for c in range(max(m.bit_length() for m in masks)):
-            family = sets.add(family, sum(1 << v for v, m in enumerate(masks) if m >> c & 1))
+        for s in _transpose(masks, max(m.bit_length() for m in masks)):
+            family = sets.add(family, s)
         return bool(family >> sets.full & 1)
 
     return oracle
@@ -276,11 +281,11 @@ def is_choosable(
     try:
         enum = AssignmentEnumerator(graph, lam, budget, prune_colourable=True)
     except ValueError as exc:  # the only refusal: the group size
-        return Verdict(INCONCLUSIVE, False, 0, universe_bound, reason=str(exc))
+        return Verdict(INCONCLUSIVE, 0, universe_bound, reason=str(exc))
     for la, partition in enum:
         if find_colouring(graph, la) is not None:
             raise RuntimeError("enumerator yielded a colourable assignment")
-        return Verdict(NOT_CHOOSABLE, True, enum.orbits_seen, universe_bound, (la, partition))
+        return Verdict(NOT_CHOOSABLE, enum.orbits_seen, universe_bound, (la, partition))
     if enum.truncated:
-        return Verdict(INCONCLUSIVE, False, enum.orbits_seen, universe_bound, reason="budget exhausted")
-    return Verdict(CHOOSABLE, True, enum.orbits_seen, universe_bound)
+        return Verdict(INCONCLUSIVE, enum.orbits_seen, universe_bound, reason="budget exhausted")
+    return Verdict(CHOOSABLE, enum.orbits_seen, universe_bound)

@@ -5,16 +5,16 @@ tiny instances."""
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import permutations, product
 from typing import Iterator
 
 from lchoose.assignment import (
     ColourPartition,
     ListAssignment,
     _check_group,
-    _colour_types,
     _generators,
     _lane_images,
+    _transpose,
     canonical_key,
     vertex_group,
 )
@@ -151,6 +151,39 @@ def naive_orbit_keys(graph: MultipartiteGraph, lam: Lambda) -> set[bytes]:
     }
 
 
+def reference_vertex_group(part_sizes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """``vertex_group`` as it was built from part offsets and a part map:
+    the same permutations must come out in the same order."""
+    sizes = part_sizes
+    k = len(sizes)
+    n = sum(sizes)
+    starts = []
+    acc = 0
+    for s in sizes:
+        starts.append(acc)
+        acc += s
+    by_size: dict[int, list[int]] = {}
+    for i, s in enumerate(sizes):
+        by_size.setdefault(s, []).append(i)
+    size_items = sorted(by_size.items())
+    perms: list[tuple[int, ...]] = []
+    for targets_combo in product(*(permutations(idxs) for _, idxs in size_items)):
+        part_map = [0] * k
+        for (_, idxs), targets in zip(size_items, targets_combo):
+            for src, dst in zip(idxs, targets):
+                part_map[src] = dst
+        for withins in product(*(permutations(range(s)) for s in sizes)):
+            perm = [0] * n
+            for i in range(k):
+                base = starts[part_map[i]]
+                w = withins[i]
+                s0 = starts[i]
+                for o in range(sizes[i]):
+                    perm[s0 + o] = base + w[o]
+            perms.append(tuple(perm))
+    return tuple(perms)
+
+
 def reference_canonical_blocks(part_sizes: tuple[int, ...], blocks: tuple) -> tuple:
     """The orbit maximum of ``blocks`` (``(quota, types)`` pairs), one vertex
     permutation at a time: map every type bit by bit, sort each class's
@@ -253,7 +286,7 @@ def reference_witness(assignment: ListAssignment, lam: Lambda) -> ColourPartitio
     ks = lam.parts
     n = assignment.n
     universe = assignment.universe_size
-    types = _colour_types(assignment)
+    types = _transpose(assignment.masks, universe)
     order = sorted(range(universe), key=lambda c: (-types[c].bit_count(), c))
     full = (1 << n) - 1
     # bit 0 of every layer: lam.total layers for the counters, universe for supply

@@ -9,13 +9,13 @@ from lchoose.assignment import (
     assignment_from_dict,
     assignment_to_dict,
     canonical_key,
-    enumerate_lambda_assignments,
     is_lambda_assignment,
     quota_counts,
     trim_to_exact,
     vertex_group,
 )
 from lchoose.budget import Budget
+from lchoose.constructions import ThreesFamilyEnumerator
 from lchoose.graphs import MultipartiteGraph
 from lchoose.lam import Lambda
 from lchoose.reduction import FourTuple
@@ -25,6 +25,7 @@ from helpers import (
     naive_witness_exists,
     random_blocks,
     reference_canonical_blocks,
+    reference_vertex_group,
     reference_witness,
 )
 
@@ -54,7 +55,7 @@ def test_partition_validation():
     ColourPartition(lam, (0, 1, 1))
     with pytest.raises(ValueError):
         ColourPartition(lam, (0, 2))
-    assert ColourPartition(lam, (1, 0, 1)).class_mask(1) == 0b101
+    assert ColourPartition(lam, (1, 0, 1)).class_masks()[1] == 0b101
     assert ColourPartition(lam, (1, 0, 1)).class_masks() == (0b010, 0b101)
 
 
@@ -313,6 +314,15 @@ def test_vertex_group_orders():
         vertex_group((4, 4, 4, 4, 4))
 
 
+@pytest.mark.parametrize("sizes", [
+    (1,), (3,), (1, 1), (2, 1), (2, 2), (3, 1, 1), (1, 2, 1, 2), (3, 2, 1), (2, 2, 2),
+    (3, 3, 1, 1), (4, 3, 3, 2, 2, 2, 1),
+])
+def test_vertex_group_matches_the_reference(sizes):
+    # the leaf canonical forms read their lanes in group order
+    assert vertex_group(sizes) == reference_vertex_group(sizes)
+
+
 @pytest.mark.parametrize("sizes", [(5, 1), (3, 3), (2, 2, 2), (4, 2, 2, 1), (1, 1, 1, 1)])
 def test_walk_generators_generate_the_vertex_group(sizes):
     # the lex-leader cut is sound only for elements of the group, and its
@@ -553,9 +563,30 @@ def test_enumerator_budget_truncates():
     assert got < 40
 
 
+def _spent(budget):
+    budget.tick()
+    return budget
+
+
+@pytest.mark.parametrize("make", [
+    lambda b: AssignmentEnumerator(MultipartiteGraph((2, 2)), Lambda((2,)), b),
+    lambda b: ThreesFamilyEnumerator(4, b),
+], ids=["orbit-walk", "threes-family"])
+@pytest.mark.parametrize("budget, walk, cut", [
+    (lambda: Budget(), list, False),
+    (lambda: Budget(max_nodes=10), list, True),
+    (lambda: _spent(Budget(max_nodes=0)), list, True),
+    (lambda: Budget(), lambda enum: next(iter(enum)), False),
+], ids=["fresh", "cut", "spent-before", "abandoned"])
+def test_truncated_is_the_budget_state(make, budget, walk, cut):
+    enum = make(budget())
+    walk(enum)
+    assert enum.truncated is enum.budget.exhausted is cut
+
+
 def test_enumerate_wrapper():
     G, lam = MultipartiteGraph((2, 1)), Lambda((2,))
-    enum = enumerate_lambda_assignments(G, lam)
+    enum = AssignmentEnumerator(G, lam)
     assert sum(1 for _ in enum) == 12
     assert not enum.truncated
 

@@ -30,7 +30,7 @@ def test_normalisation_and_accessors():
     assert lam.multiplicity(2) == 1
     assert lam.multiplicity(5) == 0
     assert str(lam) == "1,2,3"
-    assert lam.stats() == (6, 3, 1, 2)
+    assert (lam.total, lam.size, lam.m_one, lam.m_odd) == (6, 3, 1, 2)
 
 
 def test_parse_forms():

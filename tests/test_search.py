@@ -153,6 +153,18 @@ def test_budget_object_counts():
     assert b.exhausted
 
 
+@pytest.mark.parametrize("limits", [
+    {"max_nodes": True}, {"max_nodes": 2.5}, {"max_nodes": "3"}, {"max_nodes": -1},
+    {"max_seconds": True}, {"max_seconds": "1"}, {"max_seconds": float("nan")},
+    {"max_seconds": -0.5},
+])
+def test_budget_refuses_limits_that_are_not_numbers(limits):
+    # a bool would count as 1, a float node limit would floor, and nan
+    # would never expire
+    with pytest.raises(ValueError):
+        Budget(**limits)
+
+
 def test_budget_zero_seconds_expires():
     b = Budget(max_seconds=0)
     # the clock is read every 1024 ticks

@@ -16,6 +16,7 @@ Regenerate only on purpose (for example when the corpus grows new cells):
 ``PYTHONPATH=src python tests/test_verdicts.py``.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -23,8 +24,10 @@ import pytest
 
 from lchoose.assignment import AssignmentEnumerator, canonical_key
 from lchoose.budget import Budget
+from lchoose.bundles import bundle_phi2
 from lchoose.graphs import MultipartiteGraph, part_vectors
 from lchoose.lam import Lambda
+from lchoose.search import phi_search
 from lchoose.solver import INCONCLUSIVE, NOT_CHOOSABLE, is_choosable
 
 from helpers import ReferenceAssignmentEnumerator
@@ -80,6 +83,27 @@ def test_verdict_corpus_replays():
         if (got := _record(tuple(record["parts"]), tuple(record["lambda"]))) != record
     ]
     assert mismatches == []
+
+
+def _payloads():
+    # every verdict of the corpus cells, decided and starved of nodes, one
+    # refused before the walk, and the payloads that summarise starved cells
+    for max_nodes in (None, 30):
+        for sizes, parts in _cells():
+            if max_nodes is None or sum(sizes) <= 6:
+                budget = Budget(max_nodes=max_nodes)
+                yield is_choosable(MultipartiteGraph(sizes), Lambda(parts), budget).to_dict()
+    yield is_choosable(MultipartiteGraph((4, 4, 4, 4, 4)), Lambda((1, 1, 1, 1, 1))).to_dict()
+    yield bundle_phi2(budget_nodes=5)
+    yield phi_search(Lambda((2,)), 6, budget_nodes=20).to_dict()
+
+
+PAYLOAD_DIGEST = "f8dd390ad78fedb8e9bb90e72a1bd7aa93c1c1ecbfdb4b6cf26befefabcef06a"
+
+
+def test_verdict_payloads_pinned():
+    docs = b"\n".join(json.dumps(doc, sort_keys=True).encode("ascii") for doc in _payloads())
+    assert hashlib.sha256(docs).hexdigest() == PAYLOAD_DIGEST
 
 
 # the counterexample documents the anchored walks return, colour numbering
