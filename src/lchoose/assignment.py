@@ -130,6 +130,20 @@ def quota_counts(assignment: ListAssignment, partition: ColourPartition) -> list
             for v in range(assignment.n)]
 
 
+def _check_quotas(
+    assignment: ListAssignment, lam: Lambda, partition: ColourPartition, exact: bool
+) -> None:
+    """Raise ValueError unless ``partition``, built for ``lam``, gives every
+    vertex at least ``k_i`` colours of class i, or exactly ``k_i`` if ``exact``."""
+    if partition.lam != lam:
+        raise ValueError("partition was built for a different quota multiset")
+    for v, row in enumerate(quota_counts(assignment, partition)):
+        for i, (have, k) in enumerate(zip(row, lam.parts)):
+            if have < k or exact and have > k:
+                raise ValueError(f"partition does not witness the quotas: vertex {v} "
+                                 f"has {have} colours of class {i}, whose quota is {k}")
+
+
 def _transpose(rows, width: int) -> list[int]:
     """Per bit j < width, the rows holding it as a mask over row indices: list
     masks to colour types (the vertices whose lists hold each colour), and back."""
@@ -244,42 +258,22 @@ def trim_to_exact(
     Returns the trimmed assignment together with the renumbered partition.
     Raises ValueError when the partition does not witness the quotas.
     """
-    if partition.lam != lam:
-        raise ValueError("partition was built for a different quota multiset")
-    counts = quota_counts(assignment, partition)
-    for v in range(assignment.n):
-        for i, k in enumerate(lam.parts):
-            if counts[v][i] < k:
-                raise ValueError(
-                    f"partition does not witness the quotas (vertex {v}, class {i})"
-                )
+    _check_quotas(assignment, lam, partition, exact=False)
     cms = partition.class_masks()
     kept_masks = []
-    for v in range(assignment.n):
-        m = 0
-        for i, k in enumerate(lam.parts):
-            inter = assignment.masks[v] & cms[i]
+    for m in assignment.masks:
+        kept = 0
+        for k, cm in zip(lam.parts, cms):
+            inter = m & cm
             for _ in range(k):
-                low = inter & -inter
-                m |= low
-                inter ^= low
-        kept_masks.append(m)
-    used = 0
-    for m in kept_masks:
-        used |= m
-    survivors = [c for c in range(assignment.universe_size) if used >> c & 1]
-    renum = {c: j for j, c in enumerate(survivors)}
-    new_masks = []
-    for m in kept_masks:
-        nm = 0
-        while m:
-            low = m & -m
-            nm |= 1 << renum[low.bit_length() - 1]
-            m ^= low
-        new_masks.append(nm)
-    trimmed = ListAssignment(len(survivors), tuple(new_masks))
-    new_classes = tuple(partition.class_of[c] for c in survivors)
-    return trimmed, ColourPartition(lam, new_classes)
+                kept |= inter & -inter
+                inter &= inter - 1
+        kept_masks.append(kept)
+    types = _transpose(kept_masks, assignment.universe_size)
+    survivors = [c for c, t in enumerate(types) if t]
+    masks = _transpose([types[c] for c in survivors], assignment.n)
+    classes = tuple(partition.class_of[c] for c in survivors)
+    return ListAssignment(len(survivors), tuple(masks)), ColourPartition(lam, classes)
 
 
 def _check_group(part_sizes: tuple[int, ...]) -> None:
@@ -392,13 +386,7 @@ def canonical_key(
     """
     if assignment.n != graph.n:
         raise ValueError("assignment and graph disagree on the vertex count")
-    counts = quota_counts(assignment, partition)
-    for v in range(assignment.n):
-        for i, k in enumerate(lam.parts):
-            if counts[v][i] != k:
-                raise ValueError(
-                    f"assignment is not exact for the partition (vertex {v}, class {i})"
-                )
+    _check_quotas(assignment, lam, partition, exact=True)
     blocks = _blocks_of(assignment, lam, partition)
     canon = _canonical_blocks(graph.part_sizes, blocks)
     return repr(canon).encode("ascii")
@@ -576,11 +564,6 @@ def assignment_to_dict(
     }
 
 
-def _integers(values) -> bool:
-    # bool is an int subclass, and int() would floor a float or parse a string
-    return isinstance(values, list) and all(type(x) is int for x in values)
-
-
 def assignment_from_dict(data: dict) -> tuple[ListAssignment, ColourPartition | None, Lambda | None]:
     """Inverse of assignment_to_dict; raises ValueError on schema violations."""
     if not isinstance(data, dict):
@@ -588,30 +571,23 @@ def assignment_from_dict(data: dict) -> tuple[ListAssignment, ColourPartition | 
     for key in ("universe", "lists"):
         if key not in data:
             raise ValueError(f"assignment document lacks {key!r}")
-    universe = data["universe"]
-    lists = data["lists"]
-    if type(universe) is not int or not isinstance(lists, list):
-        raise ValueError("assignment document has wrong field types")
-    if not all(_integers(lst) for lst in lists):
-        raise ValueError("lists must be arrays of integers")
+    (universe,) = integers((data["universe"],), "universe")
+    if not isinstance(data["lists"], list):
+        raise ValueError("lists must be an array of arrays")
+    lists = [integers(lst, "lists") for lst in data["lists"]]
     # before any bitmask is built: a huge colour or universe asks for a huge int
     if not 1 <= universe <= sum(map(len, lists)):
         raise ValueError("universe must be between 1 and the number of list entries")
     if any(not 0 <= c < universe for lst in lists for c in lst):
         raise ValueError(f"a colour lies outside the universe 0..{universe - 1}")
     assignment = ListAssignment.from_lists(universe, lists)
-    lam = None
-    if data.get("lambda") is not None:
-        lam_field = data["lambda"]
-        if not _integers(lam_field):
-            raise ValueError("lambda must be an array of integers")
-        lam = Lambda(tuple(lam_field))
+    lam = None if data.get("lambda") is None else Lambda(integers(data["lambda"], "lambda"))
     partition = None
     if data.get("partition") is not None:
-        part_field = data["partition"]
-        if not _integers(part_field) or len(part_field) != universe:
-            raise ValueError("partition must list one integer class per universe colour")
+        classes = integers(data["partition"], "partition")
+        if len(classes) != universe:
+            raise ValueError("partition must list one class per universe colour")
         if lam is None:
             raise ValueError("partition requires the lambda field")
-        partition = ColourPartition(lam, tuple(part_field))
+        partition = ColourPartition(lam, classes)
     return assignment, partition, lam

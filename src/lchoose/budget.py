@@ -3,6 +3,7 @@ is advisory (checked coarsely so reruns with the same node budget agree)."""
 
 from __future__ import annotations
 
+import sys
 import time
 
 from .lam import integers
@@ -20,7 +21,9 @@ class Budget:
         self.max_nodes = max_nodes
         self.max_seconds = max_seconds
         self.nodes = 0
-        self._deadline = time.monotonic() + max_seconds if max_seconds is not None else None
+        # inf, and an int limit past the float range, set no deadline
+        finite = max_seconds is not None and max_seconds < sys.float_info.max
+        self._deadline = time.monotonic() + max_seconds if finite else None
         self.exhausted = False
 
     def tick(self) -> bool:

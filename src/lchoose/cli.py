@@ -18,7 +18,7 @@ from .budget import Budget
 from .bundles import BUNDLES, run_bundle
 from .constructions import ThreesFamilyEnumerator, build_bad_k42, build_gadget
 from .graphs import MultipartiteGraph
-from .lam import Lambda
+from .lam import Lambda, integers
 from .search import phi_search
 from .solver import CHOOSABLE, INCONCLUSIVE, NOT_CHOOSABLE, find_colouring, is_choosable
 
@@ -36,9 +36,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def _emit(payload: dict) -> None:
-    payload = {"schema": SCHEMA, **payload}
-    print(json.dumps(payload, indent=2, sort_keys=True))
+def _emit(payload: dict, out: str | None = None) -> None:
+    """Print the payload's ``lchoose/1`` envelope, or write it to ``out`` without the newline."""
+    text = json.dumps({"schema": SCHEMA, **payload}, indent=2, sort_keys=True)
+    if out is None:
+        print(text)
+        return
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _at_least(low: int):
@@ -135,16 +140,14 @@ def _cmd_check(args) -> int:
     return 2
 
 
-def _integer(value, field: str) -> int:
-    if type(value) is not int:  # bool is an int subclass, and int() would floor floats
-        raise ValueError(f"manifest field {field!r} must be an integer, got {value!r}")
-    return value
-
-
 def _field(manifest: dict, field: str):
     if field not in manifest:
         raise ValueError(f"manifest lacks the field {field!r}")
     return manifest[field]
+
+
+def _ints(manifest: dict, *fields: str) -> tuple[int, ...]:
+    return integers([_field(manifest, f) for f in fields], "manifest fields " + ", ".join(fields))
 
 
 def _cmd_gen(args) -> int:
@@ -154,7 +157,7 @@ def _cmd_gen(args) -> int:
         return USAGE_ERROR
     family = manifest.get("family")
     if family == "lemma1":
-        inst = build_gadget(*(_integer(_field(manifest, f), f) for f in ("ones", "twos", "threes")))
+        inst = build_gadget(*_ints(manifest, "ones", "twos", "threes"))
         docs = [
             {
                 "graph": inst.graph.text(),
@@ -162,15 +165,13 @@ def _cmd_gen(args) -> int:
             }
         ]
     elif family == "k42":
-        k = _integer(_field(manifest, "k"), "k")
-        sizes = _field(manifest, "sizes")
-        if not isinstance(sizes, list):
-            raise ValueError(f"manifest field 'sizes' must be a list, got {sizes!r}")
-        graph, assignment = build_bad_k42(k, tuple(_integer(x, "sizes") for x in sizes))
+        (k,) = _ints(manifest, "k")
+        sizes = integers(_field(manifest, "sizes"), "manifest field sizes")
+        graph, assignment = build_bad_k42(k, sizes)
         docs = [{"graph": graph.text(), **assignment_to_dict(assignment)}]
     elif family == "threes":
-        k = _integer(_field(manifest, "k"), "k")
-        count = _integer(manifest.get("count", 1), "count")
+        (k,) = _ints(manifest, "k")
+        (count,) = integers((manifest.get("count", 1),), "manifest field count")
         if count < 1:
             print(f"threes count must be at least 1, got {count}", file=sys.stderr)
             return USAGE_ERROR
@@ -186,12 +187,9 @@ def _cmd_gen(args) -> int:
         print(f"unknown family {family!r} in manifest", file=sys.stderr)
         return USAGE_ERROR
     payload = {"command": "gen", "family": family, "instances": docs}
+    _emit(payload, args.out)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump({"schema": SCHEMA, **payload}, fh, indent=2, sort_keys=True)
         print(f"wrote {len(docs)} instance(s) to {args.out}", file=sys.stderr)
-    else:
-        _emit(payload)
     return 0
 
 
@@ -203,8 +201,7 @@ def _cmd_verify(args) -> int:
     payload = run_bundle(args.bundle, threads=args.threads, budget_nodes=args.budget_nodes)
     payload = {"command": "verify", **payload}
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump({"schema": SCHEMA, **payload}, fh, indent=2, sort_keys=True)
+        _emit(payload, args.out)
     _emit(payload)
     if payload["ok"]:
         print(f"bundle {args.bundle}: all checks passed", file=sys.stderr)

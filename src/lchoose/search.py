@@ -31,6 +31,13 @@ class CellResult:
 Job = tuple[tuple[int, ...], tuple[int, ...], int | None, float | None]
 
 
+def _sweep_jobs(lam: Lambda, levels, budget_nodes: int | None,
+                budget_seconds: float | None) -> list[Job]:
+    """Per vertex count in ``levels``, one job per shape with one part per unit of quota."""
+    return [(sizes, lam.parts, budget_nodes, budget_seconds)
+            for n in levels for sizes in part_vectors(n, lam.total)]
+
+
 def _cell_worker(job: Job) -> CellResult:
     sizes, parts, budget_nodes, budget_seconds = job
     graph = MultipartiteGraph(sizes)
@@ -97,17 +104,14 @@ def phi_search(
         raise ValueError(f"threads must be at least 1, got {threads}")
     if lam.is_trivial:
         return PhiSearchReport(lam, n_max, (), None, True, infinite=True)
-    k = lam.total
     cells: list[CellResult] = []
     clean = True  # no inconclusive cell seen so far
-    for n in range(k, n_max + 1):
-        jobs = [(sizes, lam.parts, budget_nodes, budget_seconds) for sizes in part_vectors(n, k)]
-        level = _run_cells(jobs, threads)
+    for n in range(lam.total, n_max + 1):
+        level = _run_cells(_sweep_jobs(lam, [n], budget_nodes, budget_seconds), threads)
         cells.extend(level)
-        level_clean = all(c.verdict.exhaustive for c in level)
         if any(c.verdict.status == NOT_CHOOSABLE for c in level):
             return PhiSearchReport(lam, n_max, tuple(cells), n, clean)
-        clean = clean and level_clean
+        clean = clean and all(c.verdict.exhaustive for c in level)
     return PhiSearchReport(lam, n_max, tuple(cells), None, clean)
 
 
@@ -151,10 +155,7 @@ def verify_choosable_below(
         raise ValueError(f"threads must be at least 1, got {threads}")
     if lam.is_trivial:
         return BelowReport(lam, n, (), True)
-    k = lam.total
-    jobs = []
-    for m in range(k, n):
-        jobs.extend((sizes, lam.parts, budget_nodes, None) for sizes in part_vectors(m, k))
-    cells = _run_cells(jobs, threads)
+    # every level in one pool
+    cells = _run_cells(_sweep_jobs(lam, range(lam.total, n), budget_nodes, None), threads)
     ok = all(c.verdict.status == CHOOSABLE for c in cells)
     return BelowReport(lam, n, tuple(cells), ok)

@@ -16,6 +16,7 @@ from lchoose.assignment import (
     _lane_images,
     _transpose,
     canonical_key,
+    quota_counts,
     vertex_group,
 )
 from lchoose.budget import Budget
@@ -320,6 +321,50 @@ def reference_witness(assignment: ListAssignment, lam: Lambda) -> ColourPartitio
     if choice is None:
         return None
     return ColourPartition(lam, tuple(i for _, i in sorted(zip(order, choice))))
+
+
+def reference_trim_to_exact(
+    assignment: ListAssignment, lam: Lambda, partition: ColourPartition
+) -> tuple[ListAssignment, ColourPartition]:
+    """``trim_to_exact`` as it was with its own count loop and a renumbering
+    dict: keep the ``k_i`` smallest colours of each class per list, drop the
+    colours no list keeps, and renumber the survivors in order."""
+    if partition.lam != lam:
+        raise ValueError("partition was built for a different quota multiset")
+    counts = quota_counts(assignment, partition)
+    for v in range(assignment.n):
+        for i, k in enumerate(lam.parts):
+            if counts[v][i] < k:
+                raise ValueError(
+                    f"partition does not witness the quotas (vertex {v}, class {i})"
+                )
+    cms = partition.class_masks()
+    kept_masks = []
+    for v in range(assignment.n):
+        m = 0
+        for i, k in enumerate(lam.parts):
+            inter = assignment.masks[v] & cms[i]
+            for _ in range(k):
+                low = inter & -inter
+                m |= low
+                inter ^= low
+        kept_masks.append(m)
+    used = 0
+    for m in kept_masks:
+        used |= m
+    survivors = [c for c in range(assignment.universe_size) if used >> c & 1]
+    renum = {c: j for j, c in enumerate(survivors)}
+    new_masks = []
+    for m in kept_masks:
+        nm = 0
+        while m:
+            low = m & -m
+            nm |= 1 << renum[low.bit_length() - 1]
+            m ^= low
+        new_masks.append(nm)
+    trimmed = ListAssignment(len(survivors), tuple(new_masks))
+    new_classes = tuple(partition.class_of[c] for c in survivors)
+    return trimmed, ColourPartition(lam, new_classes)
 
 
 def naive_refines(fine: Lambda, coarse: Lambda) -> bool:

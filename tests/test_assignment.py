@@ -25,6 +25,7 @@ from helpers import (
     naive_witness_exists,
     random_blocks,
     reference_canonical_blocks,
+    reference_trim_to_exact,
     reference_vertex_group,
     reference_witness,
 )
@@ -297,6 +298,30 @@ def test_trim_to_exact_properties():
     assert checked > 50
 
 
+def test_trim_matches_the_reference():
+    # every witness a random class map gives, plus the search's own, against
+    # the count-loop copy: the same universe, masks and classes
+    rng = random.Random(1818)
+    lams = [Lambda(p) for p in ((1,), (2,), (3,), (1, 1), (1, 2), (1, 1, 1), (2, 2))]
+    checked = 0
+    for _ in range(1500):
+        lam = rng.choice(lams)
+        la = random_assignment(rng, rng.randint(1, 6), rng.randint(lam.total, 9))
+        partitions = [ColourPartition(lam, tuple(rng.randrange(lam.size)
+                                                 for _ in range(la.universe_size)))]
+        partitions.append(is_lambda_assignment(la, lam))
+        for part in partitions:
+            if part is None or any(c < k for row in quota_counts(la, part)
+                                   for c, k in zip(row, lam.parts)):
+                continue
+            checked += 1
+            (want, want_part), (got, got_part) = (
+                f(la, lam, part) for f in (reference_trim_to_exact, trim_to_exact))
+            assert (got.universe_size, got.masks, got_part.class_of) == (
+                want.universe_size, want.masks, want_part.class_of), (la, part)
+    assert checked >= 500
+
+
 def test_trim_rejects_non_witness():
     lam = Lambda((2,))
     la = ListAssignment.from_lists(2, [[0], [1]])
@@ -410,6 +435,18 @@ def test_canonical_key_rejects_inexact():
     la = ListAssignment.from_lists(2, [[0, 1], [0]])
     with pytest.raises(ValueError):
         canonical_key(la, G, lam, ColourPartition(lam, (0, 0)))
+
+
+@pytest.mark.parametrize("lists, lam, built_for, classes", [
+    ([[0], [0]], (1, 1), (1,), (0,)),
+    ([[0, 1], [0, 1]], (1,), (1, 1), (0, 1)),
+])
+def test_canonical_key_refuses_a_partition_for_another_lambda(lists, lam, built_for, classes):
+    # refused before a count row or a class block is indexed by the other lambda
+    la = ListAssignment.from_lists(len(classes), lists)
+    partition = ColourPartition(Lambda(built_for), classes)
+    with pytest.raises(ValueError, match="different quota multiset"):
+        canonical_key(la, MultipartiteGraph((1, 1)), Lambda(lam), partition)
 
 
 # shapes with 1- and 2-byte lanes, and one with n=17, which needs 4-byte lanes

@@ -165,6 +165,15 @@ def test_budget_refuses_limits_that_are_not_numbers(limits):
         Budget(**limits)
 
 
+@pytest.mark.parametrize("seconds", [10**400, math.inf])
+def test_budget_past_the_float_range_sets_no_deadline(seconds):
+    # the CLI parses --budget-seconds 1e400 to inf, and an int limit that
+    # overflows a float means the same: run to completion
+    b = Budget(max_seconds=seconds)
+    assert all(b.tick() for _ in range(2048))
+    assert not b.exhausted
+
+
 def test_budget_zero_seconds_expires():
     b = Budget(max_seconds=0)
     # the clock is read every 1024 ticks
