@@ -39,7 +39,7 @@ from itertools import accumulate, chain, compress, permutations, product
 from typing import Iterator
 
 from .budget import Budget
-from .graphs import ColourableSets, MultipartiteGraph
+from .graphs import ColourableSets, MultipartiteGraph, greedy_complements
 from .lam import Lambda, integers
 
 # explicit-group canonicalisation is meant for desk-scale instances
@@ -417,18 +417,19 @@ class AssignmentEnumerator:
     generator, the sorted image of its class prefix, and a child's images
     are its parent's with one type inserted.
 
-    With ``prune_colourable`` set, subtrees whose partial lists already admit
-    a proper colouring are skipped: completions only add colours, so
-    everything below stays colourable.  Leaves that are themselves colourable
-    are suppressed too, which turns the stream into the stream of
-    counterexample orbits.  A non-colourable assignment keeps every prefix
-    non-colourable, so no counterexample orbit is ever lost to this pruning.
-    Each test reads one bit of a ``ColourableSets`` family, which every node
-    gets from its parent, updated once for the colour just placed: no solver
-    runs and nothing is undone on backtrack.  The parent tests each child's
-    family and enters a colourable child only when it finishes the last
-    class, whose leaf test still counts the orbit; any other colourable child
-    holds no leaf, so the walk never opens a class on a colourable family.
+    With ``prune_colourable`` set, colourable leaves are suppressed, which
+    turns the stream into the stream of counterexample orbits.  Each node
+    gets from its parent a ``ColourableSets`` family, updated once for the
+    colour just placed: no solver runs and nothing is undone on backtrack.
+    A child that finishes the last class is always entered, as its leaf test
+    counts the orbit.  Any other child is cut when its family meets E(r - 1)
+    of ``greedy_complements``, r_v being the colours vertex v is still owed
+    in this class and the later ones: colour W from the placed colours, then
+    the rest greedily from fresh ones, of which v gets r_v - 1 or more short
+    of the final colour.  So every leaf-parent below is colourable, and no
+    leaf is entered from a colourable parent (V is in E(r - 1)): orbits
+    counted and the stream are those of a walk that cuts colourable children
+    only, which loses no counterexample, as none has a colourable prefix.
 
     Every state the walk enters ticks the budget once; ``truncated`` reads
     ``budget.exhausted``, and ``orbits_seen`` counts the canonical leaves
@@ -476,6 +477,16 @@ class AssignmentEnumerator:
         layers = sum(1 << j * n for j in range(quotas[0]))
         # a family holds the sets the placed colours can colour (EMPTY unpruned)
         add = ColourableSets(G).add if self.prune else lambda family, s: family
+        # E(r - 1) per owed colours and class, r_v the colours v is still owed
+        complements, cuts = greedy_complements(G), {}
+        later = [sum(quotas[ci + 1:]) - 1 for ci in range(len(quotas))]
+
+        def cut(owed, ci):
+            if (family := cuts.get((owed, ci))) is None:
+                family = cuts[owed, ci] = complements(
+                    [(owed >> v & layers).bit_count() + later[ci] for v in range(n)])
+            return family
+
         start = ()  # every class opens with this prefix; ``img is cls`` tests for it
 
         def grow(ci, done, cls, owed, family, gens, images, bound):
@@ -516,11 +527,11 @@ class AssignmentEnumerator:
                 spread = s * layers
                 nxt = owed & ~spread | owed >> n & spread
                 left = nxt & full
-                # colourability is monotone in the lists: a colourable child
-                # never completes to a counterexample, and holds no leaf
-                # unless it finishes the last class (its leaf counts an orbit)
+                # a child that finishes the last class is always entered (its
+                # leaf counts an orbit); any other is cut once every
+                # leaf-parent below it is colourable
                 fam = add(family, s)
-                if fam >> full & 1 and (left or ci + 1 < len(quotas)):
+                if self.prune and (left or ci + 1 < len(quotas)) and fam & cut(nxt, ci):
                     continue
                 # lex-leader cut: no orbit maximum lies below a prefix that
                 # some generator maps to a larger one

@@ -176,6 +176,8 @@ def build_bad_k42(k: int, sizes: tuple[int, int, int]) -> tuple[MultipartiteGrap
     (all of A, all of B).  Needs 2*s1 + 2*s3 = k = 2*sb with s1, s3 >= 0;
     one of s1, s3 may vanish (at k=2 it must).
     """
+    if len(sizes) != 3:
+        raise ValueError(f"k42 sizes must hold 3 block sizes (s1, s3, sb), got {list(sizes)}")
     s1, s3, sb = sizes
     if s1 < 0 or s3 < 0 or sb < 1:
         raise ValueError("block sizes out of range")

@@ -8,8 +8,10 @@ different parts, so the part vector is the whole graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterator
+from functools import cached_property, partial
+from itertools import accumulate
+from operator import or_
+from typing import Callable, Iterator, Sequence
 
 from .lam import integers
 
@@ -107,6 +109,35 @@ class ColourableSets:
                 t ^= low
             out |= g
         return out
+
+
+def greedy_complements(graph: MultipartiteGraph) -> Callable[[Sequence[int]], int]:
+    """Builder of E(f): per demand vector f, the 2**n-bit family of the vertex
+    sets W whose complement peels to nothing, removing while it can a vertex v
+    of the remainder U with ``f[v] > |U \\ P(v)|``.  Lists of ``f[v]`` colours
+    then colour V \\ W greedily in reverse order (Erdos, Rubin & Taylor 1979).
+    Peeling only lowers degrees, so its order is free: E(f) grows from {V} by
+    shift-and rounds, W joining once W + v has and v may peel from V \\ W."""
+    n = graph.n
+    without = subsets_without(n)
+    every = (1 << (1 << n)) - 1
+    ok = []  # ok[v][d]: the sets that leave v fewer than d neighbours outside, d <= n
+    for v in range(n):
+        slices = [every]  # slices[j]: the sets that leave v j neighbours outside
+        for u in filter(partial(graph.adjacent, v), range(n)):
+            slices = [a & ~without[u] | b & without[u] for a, b in zip(slices + [0], [0] + slices)]
+        ok.append([0, *accumulate(slices + [0] * (n - len(slices)), or_)])
+
+    def complements(f: Sequence[int]) -> int:
+        steps = [(every ^ without[v], 1 << v, ok[v][min(d, n)]) for v, d in enumerate(f) if d > 0]
+        family, grown = 0, 1 << (1 << n) - 1
+        while grown != family:
+            family = grown
+            for has, shift, peels in steps:
+                grown |= (grown & has) >> shift & peels
+        return family
+
+    return complements
 
 
 def subsets_without(n: int) -> tuple[int, ...]:

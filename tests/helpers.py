@@ -42,6 +42,23 @@ def naive_colouring_exists(graph: MultipartiteGraph, assignment: ListAssignment)
     return False
 
 
+def reference_greedy_complements(graph: MultipartiteGraph, f) -> int:
+    """E(f) one vertex set at a time: W is kept when V \\ W peels to nothing,
+    removing while it can some remaining vertex v whose demand ``f[v]``
+    exceeds its neighbours still remaining."""
+    family = 0
+    for w in range(1 << graph.n):
+        left = [v for v in range(graph.n) if not w >> v & 1]
+        while left:
+            peel = [v for v in left if f[v] > sum(graph.adjacent(u, v) for u in left)]
+            if not peel:
+                break
+            left.remove(peel[0])
+        if not left:
+            family |= 1 << w
+    return family
+
+
 def _squeezed_random_assignment(rng: random.Random, n: int, universe_cap: int) -> ListAssignment:
     u = rng.randint(1, universe_cap)
     masks = []

@@ -217,6 +217,16 @@ def test_gen_names_a_missing_manifest_field(tmp_path, capsys, manifest, field):
     assert f"manifest lacks the field {field!r}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("sizes", [[1, 2], {}, [1, 2, 3, 4]])
+def test_gen_k42_names_a_sizes_field_of_the_wrong_length(tmp_path, capsys, sizes):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"family": "k42", "k": 6, "sizes": sizes}))
+    assert main(["gen", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "sizes" in err and "unpack" not in err and "Traceback" not in err
+
+
 def test_gen_threes_refuses_large_groups_at_once(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"family": "threes", "k": 12, "count": 1}))
@@ -301,8 +311,8 @@ def test_budget_seconds_on_check_and_phi(capsys):
     # the clock is read every 1,024 nodes, so a zero budget stops the walk there
     code, doc = run(capsys, ["check", "-g", "3,3,3", "-l", "3", "--budget-seconds", "0"])
     assert code == 2 and doc["status"] == "INCONCLUSIVE" and doc["reason"] == "budget exhausted"
-    # the 5- and 6-vertex cells of the single quota 3 walk past 1,024 nodes
-    code, doc = run(capsys, ["phi", "-l", "3", "--search-up-to", "6", "--budget-seconds", "0"])
+    # the 7- and 8-vertex cells of the single quota 3 walk past 1,024 nodes
+    code, doc = run(capsys, ["phi", "-l", "3", "--search-up-to", "8", "--budget-seconds", "0"])
     assert code == 2 and doc["search"]["exact"] is False
     assert {c["reason"] for c in doc["search"]["cells"] if not c["exhaustive"]} == {"budget exhausted"}
     # a generous clock changes nothing

@@ -3,7 +3,10 @@ from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
-from lchoose.graphs import ColourableSets, MultipartiteGraph, part_vectors
+from lchoose.assignment import ListAssignment
+from lchoose.graphs import ColourableSets, MultipartiteGraph, greedy_complements, part_vectors
+
+from helpers import naive_colouring_exists, reference_greedy_complements
 
 
 def test_normalisation():
@@ -90,3 +93,43 @@ def test_colourable_sets_match_brute_force():
                 for pick in product(range(len(types)), repeat=len(members))
             )
             assert bool(family >> W & 1) == want, (graph, types, W)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_greedy_complements_match_the_reference_peel(n):
+    # every demand vector in {-1..3}^n while there are at most 625 of them,
+    # else 150 seeded ones per shape
+    rng = random.Random(n)
+    for sizes in (s for k in range(1, n + 1) for s in part_vectors(n, k)):
+        graph = MultipartiteGraph(sizes)
+        complements = greedy_complements(graph)
+        demands = list(product(range(-1, 4), repeat=n)) if n <= 4 else [
+            [rng.randint(-1, 3) for _ in range(n)] for _ in range(150)]
+        for f in demands:
+            assert complements(f) == reference_greedy_complements(graph, f), (sizes, f)
+
+
+def test_greedy_complements_are_list_colourable():
+    # the lemma itself: for W in E(f), lists of f[v] colours on the vertices
+    # outside W always admit a proper colouring
+    rng = random.Random(19)
+    checked = 0
+    while checked < 2000:
+        n = rng.randint(1, 5)
+        graph = MultipartiteGraph(rng.choice([s for k in range(1, n + 1) for s in part_vectors(n, k)]))
+        f = [rng.randint(0, 3) for _ in range(n)]
+        family = greedy_complements(graph)(f)
+        for w in range(1 << n):
+            rest = [v for v in range(n) if not w >> v & 1]
+            if not family >> w & 1 or not rest:
+                continue
+            # the induced graph, its parts largest first as MultipartiteGraph orders them
+            parts = sorted(([v for v in p if v in rest] for p in graph.parts), key=len, reverse=True)
+            order = [v for p in parts for v in p]
+            universe = rng.randint(max(f[v] for v in rest), 4)
+            lists = [rng.sample(range(universe), f[v]) for v in order]
+            used = sorted({c for lst in lists for c in lst})
+            la = ListAssignment.from_lists(len(used), [[used.index(c) for c in lst] for lst in lists])
+            sub = MultipartiteGraph(tuple(len(p) for p in parts if p))
+            assert naive_colouring_exists(sub, la), (graph, f, w, lists)
+            checked += 1

@@ -79,8 +79,9 @@ def test_verify_below_budget_starved():
 def test_phi_search_seconds_budget_reaches_every_cell(threads):
     # a zero clock stops each cell at its first clock reading, node 1,024,
     # in the pool's workers as well: the cells a 1,023-node budget starves
-    report = phi_search(Lambda((3,)), 6, budget_seconds=0, threads=threads)
-    nodes = phi_search(Lambda((3,)), 6, budget_nodes=1023)
+    # the 7- and 8-vertex cells of the single quota 3 walk past that node
+    report = phi_search(Lambda((3,)), 8, budget_seconds=0, threads=threads)
+    nodes = phi_search(Lambda((3,)), 8, budget_nodes=1023)
     assert not report.exact and report.minimum is None
     starved = [c.graph.part_sizes for c in report.cells if not c.verdict.exhaustive]
     assert starved == [c.graph.part_sizes for c in nodes.cells if not c.verdict.exhaustive]
