@@ -34,8 +34,9 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import accumulate, chain, compress, permutations, product
+from functools import lru_cache, partial
+from itertools import accumulate, chain, permutations, product, repeat
+from operator import itemgetter
 from typing import Iterator
 
 from .budget import Budget
@@ -330,9 +331,11 @@ Blocks = tuple  # tuple[(quota, tuple[type mask, ...]), ...]
 _LANES: dict[tuple[int, ...], tuple[str, list[int]]] = {}
 
 
-def _lane_images(part_sizes: tuple[int, ...], blocks: Blocks) -> list[list[array]]:
+def _lane_images(part_sizes: tuple[int, ...], blocks: Blocks,
+                 memo: dict[int, array]) -> list[list[array]]:
     """Per class and type of ``blocks``, an ``array`` of the type's images under
-    every vertex-group element: the sum of its vertices' lanes, unpacked."""
+    every vertex-group element: the sum of its vertices' lanes, unpacked.
+    Each type's array is built once into ``memo``, which serves one shape."""
     group = vertex_group(part_sizes)
     n = sum(part_sizes)
     if part_sizes not in _LANES:
@@ -341,22 +344,40 @@ def _lane_images(part_sizes: tuple[int, ...], blocks: Blocks) -> list[list[array
                                                    sys.byteorder) for v in range(n)]
     code, lanes = _LANES[part_sizes]
     size = len(group) * array(code).itemsize
-    return [[array(code, sum(x for v, x in enumerate(lanes) if m >> v & 1)
-                   .to_bytes(size, sys.byteorder)) for m in ms] for _, ms in blocks]
+    for _, ms in blocks:
+        for m in ms:
+            if m not in memo:
+                memo[m] = array(code, sum(x for v, x in enumerate(lanes) if m >> v & 1)
+                                .to_bytes(size, sys.byteorder))
+    return [[memo[m] for m in ms] for _, ms in blocks]
 
 
-def _canonical_blocks(part_sizes: tuple[int, ...], blocks: Blocks) -> Blocks:
+def _canonical_blocks(part_sizes: tuple[int, ...], blocks: Blocks,
+                      memo: dict[int, array]) -> Blocks:
     """The orbit maximum of ``blocks``.  Encodings open with their largest
-    top-quota image, so only the lanes where that image peaks are sorted."""
+    top-quota image, so only the lanes where that image peaks are compared:
+    ``array.index`` finds them, ``itemgetter`` gathers them and ``map`` sorts
+    each class's images per lane, with no Python frame per lane."""
     quotas = [k for k, _ in blocks]
-    rows = _lane_images(part_sizes, blocks)
+    rows = _lane_images(part_sizes, blocks, memo)
     tops = [a for k, r in zip(quotas, rows) if k == max(quotas) for a in r]
-    first = tops[0] if len(tops) == 1 else list(map(max, *tops))
-    keep = list(map(max(first).__eq__, first))
-    # per kept lane, each class's images
-    lanes = zip(*(zip(*(compress(a, keep) for a in r)) for r in rows))
-    return max(tuple(sorted(zip(quotas, (tuple(sorted(c, reverse=True)) for c in cols)),
-                            reverse=True)) for cols in lanes)
+    peaks = list(map(max, tops))
+    peak = max(peaks)
+    kept = set()
+    for a, top in zip(tops, peaks):
+        i = -1
+        try:
+            while top == peak:
+                kept.add(i := a.index(peak, i + 1))
+        except ValueError:
+            pass
+    get = itemgetter(min(kept), *kept)  # a repeated lane keeps every gather a tuple
+    down = partial(sorted, reverse=True)
+    cols = [map(down, zip(*map(get, r))) for r in rows]  # per class and kept lane
+    if len(cols) == 1:
+        return ((quotas[0], tuple(max(cols[0]))),)
+    best = max(map(down, zip(*(zip(repeat(k), c) for k, c in zip(quotas, cols)))))
+    return tuple((k, tuple(c)) for k, c in best)
 
 
 def _blocks_of(assignment: ListAssignment, lam: Lambda, partition: ColourPartition) -> Blocks:
@@ -388,7 +409,7 @@ def canonical_key(
         raise ValueError("assignment and graph disagree on the vertex count")
     _check_quotas(assignment, lam, partition, exact=True)
     blocks = _blocks_of(assignment, lam, partition)
-    canon = _canonical_blocks(graph.part_sizes, blocks)
+    canon = _canonical_blocks(graph.part_sizes, blocks, {})
     return repr(canon).encode("ascii")
 
 
@@ -479,6 +500,7 @@ class AssignmentEnumerator:
         add = ColourableSets(G).add if self.prune else lambda family, s: family
         # E(r - 1) per owed colours and class, r_v the colours v is still owed
         complements, cuts = greedy_complements(G), {}
+        type_lanes = {}  # each type's lane array, built once for the leaf test
         later = [sum(quotas[ci + 1:]) - 1 for ci in range(len(quotas))]
 
         def cut(owed, ci):
@@ -506,7 +528,7 @@ class AssignmentEnumerator:
                     return
                 blocks = tuple(zip(quotas, done))
                 # already sorted, so the identity's encoding: a maximum iff it is
-                if _canonical_blocks(part_sizes, blocks) == blocks:
+                if _canonical_blocks(part_sizes, blocks, type_lanes) == blocks:
                     self.orbits_seen += 1
                     if not family >> full & 1:
                         yield self._build(done)

@@ -5,6 +5,8 @@ tiny instances."""
 from __future__ import annotations
 
 import random
+import sys
+from array import array
 from itertools import permutations, product
 from typing import Iterator
 
@@ -13,7 +15,6 @@ from lchoose.assignment import (
     ListAssignment,
     _check_group,
     _generators,
-    _lane_images,
     _transpose,
     canonical_key,
     quota_counts,
@@ -434,9 +435,30 @@ def _sorted_lanes(quotas: list[int], rows) -> Iterator[tuple]:
         yield tuple(sorted(enc, reverse=True))
 
 
+# per shape: the lane typecode and, per vertex v, an integer whose lane g is 1 << g[v]
+_REFERENCE_LANES: dict[tuple[int, ...], tuple[str, list[int]]] = {}
+
+
+def _reference_lane_images(part_sizes: tuple[int, ...], blocks: tuple) -> list[list[array]]:
+    """``_lane_images`` as it stood before it kept a memo: per class and type
+    of ``blocks``, an ``array`` of the type's images under every vertex-group
+    element, built afresh on every call."""
+    group = vertex_group(part_sizes)
+    n = sum(part_sizes)
+    if part_sizes not in _REFERENCE_LANES:
+        code = next(c for c in "BHILQ" if array(c).itemsize * 8 >= n)
+        _REFERENCE_LANES[part_sizes] = code, [
+            int.from_bytes(array(code, [1 << g[v] for g in group]), sys.byteorder)
+            for v in range(n)]
+    code, lanes = _REFERENCE_LANES[part_sizes]
+    size = len(group) * array(code).itemsize
+    return [[array(code, sum(x for v, x in enumerate(lanes) if m >> v & 1)
+                   .to_bytes(size, sys.byteorder)) for m in ms] for _, ms in blocks]
+
+
 def _encodings(part_sizes: tuple[int, ...], blocks: tuple) -> Iterator[tuple]:
     """Lazily, the encoding of ``blocks`` under each element of the vertex group."""
-    return _sorted_lanes([k for k, _ in blocks], _lane_images(part_sizes, blocks))
+    return _sorted_lanes([k for k, _ in blocks], _reference_lane_images(part_sizes, blocks))
 
 
 class ReferenceAssignmentEnumerator:

@@ -467,7 +467,7 @@ def test_canonical_blocks_match_the_per_permutation_reference():
     from lchoose.assignment import _canonical_blocks
 
     for sizes, blocks in _canonical_cases():
-        assert _canonical_blocks(sizes, blocks) == reference_canonical_blocks(sizes, blocks)
+        assert _canonical_blocks(sizes, blocks, {}) == reference_canonical_blocks(sizes, blocks)
 
 
 @pytest.mark.parametrize("sizes, blocks", [
@@ -482,11 +482,36 @@ def test_canonical_blocks_match_the_per_permutation_reference():
     # class decides the maximum
     ((2, 2), ((2, (0b1111, 0b1111)), (1, (0b0001, 0b0110, 0b1000)))),
     ((3, 3, 3, 1), ((2, (0b1111111111,)), (1, (0b0000000011, 0b0110000100)))),
+    # exactly one lane reaches the peak: the swap of vertices 0 and 1
+    ((2, 1), ((1, (0b001,)),)),
+    ((2, 1), ((2, (0b001,)), (1, (0b011, 0b100)))),
+    # every lane reaches the peak: all-ones types
+    ((2, 2), ((2, (0b1111, 0b1111)),)),
+    # the peak is shared by types in two equal-quota classes, in different lanes
+    ((2, 2), ((2, (0b0011,)), (2, (0b1100, 0b0001)))),
+    ((2, 2), ((1, (0b0001,)), (1, (0b0100, 0b0001)))),
 ])
 def test_canonical_blocks_hand_cases(sizes, blocks):
     from lchoose.assignment import _canonical_blocks
 
-    assert _canonical_blocks(sizes, blocks) == reference_canonical_blocks(sizes, blocks)
+    assert _canonical_blocks(sizes, blocks, {}) == reference_canonical_blocks(sizes, blocks)
+
+
+def test_canonical_blocks_reuse_one_memo_per_shape():
+    # the walk keeps one memo of lane arrays across its leaves: a type met
+    # in one call must serve the next, whatever blocks hold it
+    from lchoose.assignment import _canonical_blocks
+
+    memo = {}
+    first = ((2, (0b0110, 0b0011)), (1, (0b1000,)))
+    second = ((1, (0b0011,)), (1, (0b1001, 0b0110)))
+    for blocks in (first, second, first):
+        assert _canonical_blocks((2, 2), blocks, memo) == reference_canonical_blocks((2, 2), blocks)
+    assert set(memo) == {0b0110, 0b0011, 0b1000, 0b1001}
+    memos = {}
+    for sizes, blocks in _canonical_cases():
+        got = _canonical_blocks(sizes, blocks, memos.setdefault(sizes, {}))
+        assert got == reference_canonical_blocks(sizes, blocks)
 
 
 def test_leaf_test_agrees_with_the_orbit_maximum():
@@ -503,7 +528,7 @@ def test_leaf_test_agrees_with_the_orbit_maximum():
     for sizes, blocks in _canonical_cases():
         canon = reference_canonical_blocks(sizes, blocks)
         for b in (blocks, sort(blocks), canon):
-            leaf = _canonical_blocks(sizes, b) == b
+            leaf = _canonical_blocks(sizes, b, {}) == b
             assert leaf == (canon == b)
             seen.add((b == sort(b), leaf))
     assert seen == {(False, False), (True, False), (True, True)}

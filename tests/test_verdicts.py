@@ -22,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from lchoose import assignment
 from lchoose.assignment import AssignmentEnumerator, canonical_key
 from lchoose.budget import Budget
 from lchoose.bundles import bundle_phi2
@@ -135,6 +136,10 @@ ANCHOR_COUNTEREXAMPLES = {
 }
 
 
+# vertex-group fetches per anchored walk, one per leaf test, keyed by status
+ANCHOR_LEAF_CHECKS = {NOT_CHOOSABLE: 89, "CHOOSABLE": 181, INCONCLUSIVE: 108}
+
+
 @pytest.mark.parametrize(
     "sizes, parts, status, nodes, orbits",
     [
@@ -145,11 +150,17 @@ ANCHOR_COUNTEREXAMPLES = {
         ((2, 2, 2), (1, 2), INCONCLUSIVE, 501, 75),
     ],
 )
-def test_walk_node_anchors(sizes, parts, status, nodes, orbits):
+def test_walk_node_anchors(sizes, parts, status, nodes, orbits, monkeypatch):
+    # every leaf test fetches the vertex group once, which is what the
+    # benchmark's ``assignment.canonical.leaf_checks`` counts
+    fetched = []
+    group = assignment.vertex_group
+    monkeypatch.setattr(assignment, "vertex_group", lambda ps: fetched.append(ps) or group(ps))
     budget = Budget(max_nodes=nodes - 1 if status == INCONCLUSIVE else None)
     doc = is_choosable(MultipartiteGraph(sizes), Lambda(parts), budget).to_dict()
     assert (doc["status"], budget.nodes, doc["orbits_checked"]) == (status, nodes, orbits)
     assert doc["counterexample"] == ANCHOR_COUNTEREXAMPLES.get((sizes, parts))
+    assert len(fetched) == ANCHOR_LEAF_CHECKS[status]
 
 
 def _walk(enumerator, sizes, parts, prune, max_nodes=None):
