@@ -332,10 +332,11 @@ _LANES: dict[tuple[int, ...], tuple[str, list[int]]] = {}
 
 
 def _lane_images(part_sizes: tuple[int, ...], blocks: Blocks,
-                 memo: dict[int, array]) -> list[list[array]]:
-    """Per class and type of ``blocks``, an ``array`` of the type's images under
-    every vertex-group element: the sum of its vertices' lanes, unpacked.
-    Each type's array is built once into ``memo``, which serves one shape."""
+                 memo: dict) -> list[list[tuple[bytes, memoryview, int]]]:
+    """Per class and type of ``blocks``, the type's images under every
+    vertex-group element (the sum of its vertices' lanes) as bytes, a
+    ``memoryview`` of them cast to lanes, and their peak (largest lane).
+    Each type's entry is built once into ``memo``, which serves one shape."""
     group = vertex_group(part_sizes)
     n = sum(part_sizes)
     if part_sizes not in _LANES:
@@ -347,33 +348,34 @@ def _lane_images(part_sizes: tuple[int, ...], blocks: Blocks,
     for _, ms in blocks:
         for m in ms:
             if m not in memo:
-                memo[m] = array(code, sum(x for v, x in enumerate(lanes) if m >> v & 1)
-                                .to_bytes(size, sys.byteorder))
+                image = sum(x for v, x in enumerate(lanes) if m >> v & 1)
+                view = memoryview(image.to_bytes(size, sys.byteorder)).cast(code)
+                memo[m] = view.obj, view, max(view)
     return [[memo[m] for m in ms] for _, ms in blocks]
 
 
-def _canonical_blocks(part_sizes: tuple[int, ...], blocks: Blocks,
-                      memo: dict[int, array]) -> Blocks:
+def _canonical_blocks(part_sizes: tuple[int, ...], blocks: Blocks, memo: dict) -> Blocks:
     """The orbit maximum of ``blocks``.  Encodings open with their largest
     top-quota image, so only the lanes where that image peaks are compared:
-    ``array.index`` finds them, ``itemgetter`` gathers them and ``map`` sorts
-    each class's images per lane, with no Python frame per lane."""
+    ``bytes.find`` finds them (a hit counts when it starts on a lane
+    boundary), ``itemgetter`` gathers them and ``map`` sorts each class's
+    images per lane, with no Python frame per lane."""
     quotas = [k for k, _ in blocks]
     rows = _lane_images(part_sizes, blocks, memo)
-    tops = [a for k, r in zip(quotas, rows) if k == max(quotas) for a in r]
-    peaks = list(map(max, tops))
-    peak = max(peaks)
+    tops = [e for k, r in zip(quotas, rows) if k == max(quotas) for e in r]
+    peak = max(top for _, _, top in tops)
+    width = tops[0][1].itemsize
+    needle = peak.to_bytes(width, sys.byteorder)
     kept = set()
-    for a, top in zip(tops, peaks):
-        i = -1
-        try:
-            while top == peak:
-                kept.add(i := a.index(peak, i + 1))
-        except ValueError:
-            pass
+    for raw, _, top in tops:
+        i = raw.find(needle) if top == peak else -1
+        while i >= 0:
+            if i % width == 0:
+                kept.add(i // width)
+            i = raw.find(needle, i + 1)
     get = itemgetter(min(kept), *kept)  # a repeated lane keeps every gather a tuple
     down = partial(sorted, reverse=True)
-    cols = [map(down, zip(*map(get, r))) for r in rows]  # per class and kept lane
+    cols = [map(down, zip(*(get(v) for _, v, _ in r))) for r in rows]  # per class and kept lane
     if len(cols) == 1:
         return ((quotas[0], tuple(max(cols[0]))),)
     best = max(map(down, zip(*(zip(repeat(k), c) for k, c in zip(quotas, cols)))))
@@ -396,6 +398,7 @@ def canonical_key(
     graph: MultipartiteGraph,
     lam: Lambda,
     partition: ColourPartition,
+    memo: dict | None = None,
 ) -> bytes:
     """Orbit invariant of an exact assignment under all symmetries.
 
@@ -403,13 +406,18 @@ def canonical_key(
     combination of colour renaming within classes, swaps of equal-quota
     classes, vertex permutations within parts and swaps of equal-size parts.
     The key spells the orbit maximum, which ``_canonical_blocks`` reads off
-    lane-packed vertex images.  Requires an exact (lam, partition).
+    lane-packed vertex images.  Requires an exact (lam, partition).  A
+    ``memo`` passed over many calls on one shape keeps each type's lane data;
+    one used for another shape raises ValueError.
     """
     if assignment.n != graph.n:
         raise ValueError("assignment and graph disagree on the vertex count")
     _check_quotas(assignment, lam, partition, exact=True)
+    memo = {} if memo is None else memo
+    if memo.setdefault(None, graph.part_sizes) != graph.part_sizes:
+        raise ValueError(f"lane memo built for shape {memo[None]}, not {graph.part_sizes}")
     blocks = _blocks_of(assignment, lam, partition)
-    canon = _canonical_blocks(graph.part_sizes, blocks, {})
+    canon = _canonical_blocks(graph.part_sizes, blocks, memo)
     return repr(canon).encode("ascii")
 
 
@@ -500,7 +508,7 @@ class AssignmentEnumerator:
         add = ColourableSets(G).add if self.prune else lambda family, s: family
         # E(r - 1) per owed colours and class, r_v the colours v is still owed
         complements, cuts = greedy_complements(G), {}
-        type_lanes = {}  # each type's lane array, built once for the leaf test
+        type_lanes = {}  # each type's lane data, built once for the leaf test
         later = [sum(quotas[ci + 1:]) - 1 for ci in range(len(quotas))]
 
         def cut(owed, ci):
@@ -551,7 +559,8 @@ class AssignmentEnumerator:
                 left = nxt & full
                 # a child that finishes the last class is always entered (its
                 # leaf counts an orbit); any other is cut once every
-                # leaf-parent below it is colourable
+                # leaf-parent below it is colourable; this cut runs before the
+                # lex-leader one, which cuts fewer children at more cost each
                 fam = add(family, s)
                 if self.prune and (left or ci + 1 < len(quotas)) and fam & cut(nxt, ci):
                     continue

@@ -339,6 +339,7 @@ class ThreesFamilyEnumerator:
         lam = Lambda((k,))
         seen_forms: set[tuple] = set()
         seen: set[bytes] = set()
+        lanes: dict = {}  # one lane memo for every key of the enumeration
         partition = ColourPartition(lam, (0,) * u)
         vecs = list(_balanced_vectors(u, half))
         for rows in product(vecs, repeat=half):
@@ -349,7 +350,7 @@ class ThreesFamilyEnumerator:
                 continue
             seen_forms.add(form)
             cand = ThreesBadCandidate(k, (base,) + tuple(rows), singles)
-            key = canonical_key(cand.assignment, self.graph, lam, partition)
+            key = canonical_key(cand.assignment, self.graph, lam, partition, lanes)
             if key in seen:
                 continue
             seen.add(key)

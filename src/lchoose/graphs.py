@@ -122,11 +122,11 @@ def greedy_complements(graph: MultipartiteGraph) -> Callable[[Sequence[int]], in
     without = subsets_without(n)
     every = (1 << (1 << n)) - 1
     ok = []  # ok[v][d]: the sets that leave v fewer than d neighbours outside, d <= n
-    for v in range(n):
-        slices = [every]  # slices[j]: the sets that leave v j neighbours outside
-        for u in filter(partial(graph.adjacent, v), range(n)):
+    for part in graph.parts:  # one table per part: its vertices share their neighbours
+        slices = [every]  # slices[j]: the sets that leave its vertices j neighbours outside
+        for u in filter(partial(graph.adjacent, part.start), range(n)):
             slices = [a & ~without[u] | b & without[u] for a, b in zip(slices + [0], [0] + slices)]
-        ok.append([0, *accumulate(slices + [0] * (n - len(slices)), or_)])
+        ok += [[0, *accumulate(slices + [0] * (n - len(slices)), or_)]] * len(part)
 
     def complements(f: Sequence[int]) -> int:
         steps = [(every ^ without[v], 1 << v, ok[v][min(d, n)]) for v, d in enumerate(f) if d > 0]

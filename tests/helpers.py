@@ -220,9 +220,12 @@ def reference_canonical_blocks(part_sizes: tuple[int, ...], blocks: tuple) -> tu
     return best
 
 
-def reference_threes_family(k: int, budget: Budget) -> tuple[list[ThreesBadCandidate], bool]:
-    """The miss-vector enumeration with a full canonical key for every row
-    tuple whose row multiset is new: the candidates in order, and whether
+def reference_threes_family(
+    k: int, budget: Budget, quotient=None
+) -> tuple[list[ThreesBadCandidate], bool]:
+    """The miss-vector enumeration with a full canonical key, on a fresh lane
+    memo, for every row tuple whose ``quotient(rows, half)`` is new (by
+    default its row multiset): the candidates in order, and whether
     ``budget`` cut the walk short."""
     from itertools import product as iproduct
 
@@ -241,9 +244,9 @@ def reference_threes_family(k: int, budget: Budget) -> tuple[list[ThreesBadCandi
     for rows in iproduct(vecs, repeat=half):
         if not budget.tick():
             return found, True
-        # unpinned triple parts may swap freely, so their row multiset
-        # is a cheap first quotient before the full canonical key
-        rkey = tuple(sorted(rows))
+        # unpinned triple parts may swap freely, so their row multiset (the
+        # default) is a cheap first quotient before the full canonical key
+        rkey = tuple(sorted(rows)) if quotient is None else quotient(rows, half)
         if rkey in seen_rows:
             continue
         seen_rows.add(rkey)

@@ -437,6 +437,16 @@ def test_canonical_key_rejects_inexact():
         canonical_key(la, G, lam, ColourPartition(lam, (0, 0)))
 
 
+def test_canonical_key_refuses_a_memo_of_another_shape():
+    lam = Lambda((1,))
+    la, part = ListAssignment.from_lists(1, [[0], [0]]), ColourPartition(lam, (0,))
+    memo = {}
+    key = canonical_key(la, MultipartiteGraph((2,)), lam, part, memo)
+    assert canonical_key(la, MultipartiteGraph((2,)), lam, part, memo) == key
+    with pytest.raises(ValueError, match="lane memo"):
+        canonical_key(la, MultipartiteGraph((1, 1)), lam, part, memo)
+
+
 @pytest.mark.parametrize("lists, lam, built_for, classes", [
     ([[0], [0]], (1, 1), (1,), (0,)),
     ([[0, 1], [0, 1]], (1,), (1, 1), (0, 1)),
@@ -512,6 +522,56 @@ def test_canonical_blocks_reuse_one_memo_per_shape():
     for sizes, blocks in _canonical_cases():
         got = _canonical_blocks(sizes, blocks, memos.setdefault(sizes, {}))
         assert got == reference_canonical_blocks(sizes, blocks)
+
+
+def test_peak_lanes_start_on_a_lane_boundary(monkeypatch):
+    # 2-byte lanes (n = 9): the type {0} peaks at 1 << 8, whose two bytes
+    # also straddle lanes, e.g. a lane below 256 followed by a lane holding 1;
+    # only the lanes that hold the peak may be gathered
+    import sys
+    from operator import itemgetter
+
+    from lchoose import assignment
+
+    sizes = (3, 3, 3)
+    blocks = ((2, (0b000000001,)), (1, (0b000000110, 0b011000000)))
+    gathered = set()
+    monkeypatch.setattr(assignment, "itemgetter",
+                        lambda *lanes: gathered.update(lanes) or itemgetter(*lanes))
+    memo = {}
+    got = assignment._canonical_blocks(sizes, blocks, memo)
+    assert got == reference_canonical_blocks(sizes, blocks)
+    raw, view, peak = memo[0b000000001]
+    assert view.itemsize == 2 and peak == 1 << 8
+    needle = peak.to_bytes(2, sys.byteorder)
+    assert any(raw[i:i + 2] == needle for i in range(1, len(raw) - 1, 2))  # a straddling hit
+    assert gathered == {i for i, g in enumerate(vertex_group(sizes)) if g[0] == 8}
+
+
+def test_cached_peaks_are_the_largest_images():
+    # every type of every shape on at most 8 vertices; where the group is all
+    # of S_n (one part, or all parts single) the largest image of a c-vertex
+    # type is the top c vertices, which spares the 8! = 40,320-element groups
+    import math
+
+    from lchoose.assignment import _lane_images
+    from lchoose.graphs import part_vectors
+
+    for sizes in (s for n in range(1, 9) for k in range(1, n + 1) for s in part_vectors(n, k)):
+        n, group = sum(sizes), vertex_group(sizes)
+        if len(group) == math.factorial(n):
+            best = [((1 << m.bit_count()) - 1) << n - m.bit_count() for m in range(1 << n)]
+        else:
+            best = [0] * (1 << n)
+            for g in group:
+                images = [0]  # images[m]: the image of type m under g
+                for v in g:
+                    images += [x + (1 << v) for x in images]
+                best = list(map(max, best, images))
+        memo = {}
+        types = tuple(range(1, 1 << n))
+        _lane_images(sizes, ((1, types),), memo)
+        assert [memo[m][2] for m in types] == best[1:], sizes
 
 
 def test_leaf_test_agrees_with_the_orbit_maximum():

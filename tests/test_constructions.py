@@ -217,6 +217,27 @@ def test_threes_enumerator_matches_reference(k, rows):
     assert enum.budget.nodes == ref_budget.nodes
 
 
+@pytest.mark.parametrize("k,rows,count,keys", [(4, 200, 10, 20), (6, 300, 7, 20)])
+def test_threes_enumerator_shares_one_lane_memo(monkeypatch, k, rows, count, keys):
+    # every key of the walk goes through the module's canonical_key with one
+    # lane memo; keying each normal-form-new tuple on a fresh memo instead
+    # gives the same candidates in the same order
+    import lchoose.constructions as constructions
+
+    memos = []
+
+    def spy(*args):
+        memos.append(args[4])
+        return canonical_key(*args)
+
+    monkeypatch.setattr(constructions, "canonical_key", spy)
+    got = [(c.miss, c.singleton_lists) for c in ThreesFamilyEnumerator(k, Budget(max_nodes=rows))]
+    ref, _ = reference_threes_family(k, Budget(max_nodes=rows), _miss_normal_form)
+    assert got == [(c.miss, c.singleton_lists) for c in ref]
+    assert len(got) == count
+    assert len(memos) == keys and all(m is memos[0] for m in memos)
+
+
 @pytest.mark.parametrize("k,count", [(4, 40), (6, 8)])
 def test_miss_normal_form_stays_in_the_orbit(k, count):
     half = k // 2
