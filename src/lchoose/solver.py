@@ -10,7 +10,10 @@ over the 2**u colour sets (Bjorklund, Husfeldt & Koivisto, SIAM J. Comput.
 2009), each family one 2**u-bit integer.  ``ok[i]``, the free sets from which
 parts i.. can be coloured, is the OR over part i's minimal covers x of
 ``(ok[i+1] & sets_disjoint_from(x)) << x``, and a forward pass takes each
-part's first cover with the rest of its free colours in ``ok[i+1]``.
+part's first cover with the rest of its free colours in ``ok[i+1]``.  A
+greedy pass runs first, each part taking its first cover inside the free
+colours; if all get one, each left the later parts colourable, so it is the
+cover the forward pass would take, and no ``ok`` table is built.
 Above that the 2**u-bit tables cost more than a depth-first search over
 minimal covers.  A part's covers are enumerated once per call and each node
 keeps those inside its free colours, which are exactly the covers of the
@@ -91,27 +94,20 @@ def _minimal_covers(masks: tuple[int, ...]) -> list[int]:
     sorted by (popcount, value), so cheaper covers are tried first.
     """
     found: set[int] = set()
-
-    def rec(idx: int, cover: int) -> None:
+    stack = [(0, 0)]  # (index of the next mask to hit, cover so far)
+    while stack:
+        idx, cover = stack.pop()
         while idx < len(masks) and masks[idx] & cover:
             idx += 1
-        if idx == len(masks):
-            # drop covers with a redundant colour
-            c = cover
-            while c:
-                low = c & -c
-                if not any(m & cover == low for m in masks):
-                    return
-                c ^= low
+        if idx < len(masks):
+            m = masks[idx]
+            while m:
+                low = m & -m
+                stack.append((idx + 1, cover | low))
+                m ^= low
+        # minimal iff each colour is some mask's only hit: sum the one-colour hits
+        elif cover == sum({hit for m in masks if not (hit := m & cover) & (hit - 1)}):
             found.add(cover)
-            return
-        m = masks[idx]
-        while m:
-            low = m & -m
-            rec(idx + 1, cover | low)
-            m ^= low
-
-    rec(0, 0)
     return sorted(found, key=lambda c: (c.bit_count(), c))
 
 
@@ -155,8 +151,8 @@ def find_colouring(graph: MultipartiteGraph, assignment: ListAssignment) -> Colo
 def _paint(lists: list[tuple[int, ...]], chosen: list[int]) -> Colouring:
     """Each vertex takes its least colour in its part's cover; parts hold
     consecutive vertices, so their lists concatenate in vertex order."""
-    picks = (m & cover for masks, cover in zip(lists, chosen) for m in masks)
-    return Colouring(tuple((pick & -pick).bit_length() - 1 for pick in picks))
+    return Colouring(tuple([((pick := m & cover) & -pick).bit_length() - 1
+                            for masks, cover in zip(lists, chosen) for m in masks]))
 
 
 def _cover_search(graph: MultipartiteGraph, assignment: ListAssignment) -> Colouring | None:
@@ -191,26 +187,20 @@ def _cover_search(graph: MultipartiteGraph, assignment: ListAssignment) -> Colou
     return _paint(lists, chosen) if solve(0, (1 << assignment.universe_size) - 1) else None
 
 
-def _disjoint(without: tuple[int, ...], colours: int) -> int:
-    """The family of colour sets that miss every colour in ``colours``."""
-    out = -1
-    while colours:
-        low = colours & -colours
-        out &= without[low.bit_length() - 1]
-        colours ^= low
-    return out
-
-
 def _table_covers(masks: tuple[int, ...], u: int) -> tuple[int, list[int]]:
     """The covering family of ``masks``, as a 2**u-bit table, and its minimal
     members (none one colour smaller) in ``_minimal_covers``' order."""
     without = _sets_without(u)
     family = (1 << (1 << u)) - 1
-    for m in set(masks):
-        family &= ~_disjoint(without, m)
+    for m in masks:
+        miss = -1  # the sets that miss every colour of m
+        while m:
+            miss &= without[(m & -m).bit_length() - 1]
+            m &= m - 1
+        family &= ~miss
     above = 0
-    for c in range(u):
-        above |= (family & without[c]) << (1 << c)
+    for c, sets in enumerate(without):
+        above |= (family & sets) << (1 << c)
     bits, minimal = bin(family & ~above)[:1:-1], []
     i = bits.find("1")
     while i >= 0:
@@ -220,18 +210,42 @@ def _table_covers(masks: tuple[int, ...], u: int) -> tuple[int, list[int]]:
 
 
 def _table_search(graph: MultipartiteGraph, assignment: ListAssignment) -> Colouring | None:
+    """Greedy first: each part takes its first cover inside the free colours.
+    If all get one, each kept the later parts colourable, so it is the cover
+    ``_ok_search``'s forward pass keeps; a part with none falls back to it."""
+    u = assignment.universe_size
+    lists = [assignment.masks[part.start:part.stop] for part in graph.parts]
+    tables: dict[tuple[int, ...], tuple[int, list[int]]] = {}
+    free, chosen = (1 << u) - 1, []
+    for masks in lists:
+        if masks not in tables:
+            tables[masks] = _table_covers(masks, u)
+        for x in tables[masks][1]:
+            if not x & ~free:
+                break
+        else:
+            return _ok_search(lists, tables, u)
+        chosen.append(x)
+        free &= ~x
+    return _paint(lists, chosen)
+
+
+def _ok_search(lists: list[tuple[int, ...]], tables: dict, u: int) -> Colouring | None:
     """The exact tables: no backtracking, since a part's cover is kept only
     when the rest of its free colours lie in ``ok`` of the parts after it."""
-    u = assignment.universe_size
     without = _sets_without(u)
-    lists = [assignment.masks[part.start:part.stop] for part in graph.parts]
-    tables = {masks: _table_covers(masks, u) for masks in set(lists)}
+    for masks in set(lists) - tables.keys():
+        tables[masks] = _table_covers(masks, u)
     # the last part's ok is its covering family: the sets holding one of its covers
     ok = [0] * (len(lists) - 1) + [tables[lists[-1]][0], (1 << (1 << u)) - 1]
     for i in reversed(range(len(lists) - 1)):
         later = ok[i + 1]
         for x in tables[lists[i]][1]:
-            ok[i] |= (later & _disjoint(without, x)) << x
+            miss, c = later, x  # the sets of ok[i+1] that miss every colour of x
+            while c:
+                miss &= without[(c & -c).bit_length() - 1]
+                c &= c - 1
+            ok[i] |= miss << x
     free = (1 << u) - 1
     if not ok[0] >> free & 1:
         return None

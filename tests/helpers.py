@@ -7,6 +7,7 @@ from __future__ import annotations
 import random
 import sys
 from array import array
+from functools import cache
 from itertools import permutations, product
 from typing import Iterator
 
@@ -22,8 +23,9 @@ from lchoose.assignment import (
 )
 from lchoose.budget import Budget
 from lchoose.constructions import ThreesBadCandidate, _balanced_vectors
-from lchoose.graphs import ColourableSets, MultipartiteGraph, part_vectors
+from lchoose.graphs import ColourableSets, MultipartiteGraph, part_vectors, subsets_without
 from lchoose.lam import Lambda
+from lchoose.solver import Colouring
 
 
 def naive_colouring_exists(graph: MultipartiteGraph, assignment: ListAssignment) -> bool:
@@ -584,3 +586,69 @@ class ReferenceAssignmentEnumerator:
         gens = _generators(part_sizes)
         yield from grow(0, (), start, (1 << quotas[0] * n) - 1, ColourableSets.EMPTY,
                         gens, [start] * len(gens), None)
+
+
+# ``reference_table_search`` and its helpers: the exact-table path as it stood
+# before the greedy pass, kept verbatim under reference names
+_reference_sets_without = cache(subsets_without)
+
+
+def _reference_paint(lists: list[tuple[int, ...]], chosen: list[int]) -> Colouring:
+    """Each vertex takes its least colour in its part's cover; parts hold
+    consecutive vertices, so their lists concatenate in vertex order."""
+    picks = (m & cover for masks, cover in zip(lists, chosen) for m in masks)
+    return Colouring(tuple((pick & -pick).bit_length() - 1 for pick in picks))
+
+
+def _reference_disjoint(without: tuple[int, ...], colours: int) -> int:
+    """The family of colour sets that miss every colour in ``colours``."""
+    out = -1
+    while colours:
+        low = colours & -colours
+        out &= without[low.bit_length() - 1]
+        colours ^= low
+    return out
+
+
+def _reference_table_covers(masks: tuple[int, ...], u: int) -> tuple[int, list[int]]:
+    """The covering family of ``masks``, as a 2**u-bit table, and its minimal
+    members (none one colour smaller) in ``_minimal_covers``' order."""
+    without = _reference_sets_without(u)
+    family = (1 << (1 << u)) - 1
+    for m in set(masks):
+        family &= ~_reference_disjoint(without, m)
+    above = 0
+    for c in range(u):
+        above |= (family & without[c]) << (1 << c)
+    bits, minimal = bin(family & ~above)[:1:-1], []
+    i = bits.find("1")
+    while i >= 0:
+        minimal.append(i)
+        i = bits.find("1", i + 1)
+    return family, sorted(minimal, key=int.bit_count)
+
+
+def reference_table_search(graph: MultipartiteGraph, assignment: ListAssignment) -> Colouring | None:
+    """The exact tables: no backtracking, since a part's cover is kept only
+    when the rest of its free colours lie in ``ok`` of the parts after it."""
+    u = assignment.universe_size
+    without = _reference_sets_without(u)
+    lists = [assignment.masks[part.start:part.stop] for part in graph.parts]
+    tables = {masks: _reference_table_covers(masks, u) for masks in set(lists)}
+    # the last part's ok is its covering family: the sets holding one of its covers
+    ok = [0] * (len(lists) - 1) + [tables[lists[-1]][0], (1 << (1 << u)) - 1]
+    for i in reversed(range(len(lists) - 1)):
+        later = ok[i + 1]
+        for x in tables[lists[i]][1]:
+            ok[i] |= (later & _reference_disjoint(without, x)) << x
+    free = (1 << u) - 1
+    if not ok[0] >> free & 1:
+        return None
+    chosen = []
+    for masks, later in zip(lists, ok[1:]):
+        for x in tables[masks][1]:
+            if not x & ~free and later >> (free & ~x) & 1:
+                break
+        chosen.append(x)
+        free &= ~x
+    return _reference_paint(lists, chosen)

@@ -82,6 +82,17 @@ def test_solve_round_trip(tmp_path, capsys):
     assert solved["colouring"] is not None
 
 
+def test_solve_a_part_with_a_thousand_colour_cover(tmp_path, capsys):
+    # exits 0 with the colouring, not 1 after a recursion error
+    body = tmp_path / "a.json"
+    body.write_text(json.dumps(
+        {"universe": 1100, "lists": [[i] for i in range(1100)], "partition": None, "lambda": None}
+    ))
+    code, solved = run(capsys, ["solve", "-g", "1100", str(body)])
+    assert code == 0
+    assert solved["colouring"] == list(range(1100))
+
+
 def test_solve_vertex_mismatch(tmp_path, capsys):
     body = tmp_path / "a.json"
     body.write_text(json.dumps(

@@ -27,6 +27,7 @@ from helpers import (
     half_list_corpus,
     naive_colouring_exists,
     naive_is_choosable,
+    reference_table_search,
 )
 
 
@@ -354,3 +355,39 @@ def test_larger_gadgets_are_refuted(sizes, monkeypatch):
     assert find_colouring(graph, la) is None
     distinct = {tuple(la.masks[v] for v in part) for part in graph.parts}
     assert 0 < len(enumerated) == len(set(enumerated)) <= len(distinct)
+
+
+def test_greedy_pass_gives_the_frozen_tables_colouring(monkeypatch):
+    # a greedy pass that gives every part a cover inside its free colours
+    # keeps the covers the tables' forward pass keeps; a stuck one must fall
+    # back to the tables, whether the lists are colourable or not
+    fallbacks = []
+    ok_search = solver._ok_search
+
+    def counted(lists, tables, u):
+        got = ok_search(lists, tables, u)
+        fallbacks.append(got is not None)
+        return got
+
+    monkeypatch.setattr(solver, "_ok_search", counted)
+    cases = chain(_pinned_colouring_cases(), colouring_random_corpus(seed=2718, count=3000))
+    greedy = 0
+    for graph, la in cases:
+        if la.universe_size > solver._TABLE_COLOURS:
+            continue
+        stuck = len(fallbacks)
+        got = solver._table_search(graph, la)
+        assert got == reference_table_search(graph, la), (graph, la)
+        if len(fallbacks) == stuck:
+            assert got is not None
+            greedy += 1
+    coloured = sum(fallbacks)
+    assert greedy > 5000 and coloured > 400 and len(fallbacks) - coloured > 3000
+
+
+def test_a_part_with_a_thousand_colour_cover_is_coloured():
+    # 1,100 vertices in one part, each listing its own colour: the cover
+    # enumeration must not take one stack frame per colour of the cover
+    n = 1100
+    la = ListAssignment(n, tuple(1 << i for i in range(n)))
+    assert find_colouring(MultipartiteGraph((n,)), la).colour_of == tuple(range(n))
