@@ -329,14 +329,16 @@ Blocks = tuple  # tuple[(quota, tuple[type mask, ...]), ...]
 
 # per shape: the lane typecode and, per vertex v, an integer whose lane g is 1 << g[v]
 _LANES: dict[tuple[int, ...], tuple[str, list[int]]] = {}
+# per type of the shape keyed most recently, and of no other: its lane data
+_TYPE_LANES: dict[tuple[int, ...], dict[int, tuple[bytes, memoryview, int]]] = {}
 
 
-def _lane_images(part_sizes: tuple[int, ...], blocks: Blocks,
-                 memo: dict) -> list[list[tuple[bytes, memoryview, int]]]:
+def _lane_images(part_sizes: tuple[int, ...],
+                 blocks: Blocks) -> list[list[tuple[bytes, memoryview, int]]]:
     """Per class and type of ``blocks``, the type's images under every
     vertex-group element (the sum of its vertices' lanes) as bytes, a
     ``memoryview`` of them cast to lanes, and their peak (largest lane).
-    Each type's entry is built once into ``memo``, which serves one shape."""
+    Each type's entry is built once and kept until another shape is keyed."""
     group = vertex_group(part_sizes)
     n = sum(part_sizes)
     if part_sizes not in _LANES:
@@ -344,24 +346,27 @@ def _lane_images(part_sizes: tuple[int, ...], blocks: Blocks,
         _LANES[part_sizes] = code, [int.from_bytes(array(code, [1 << g[v] for g in group]),
                                                    sys.byteorder) for v in range(n)]
     code, lanes = _LANES[part_sizes]
+    if (entries := _TYPE_LANES.get(part_sizes)) is None:
+        _TYPE_LANES.clear()
+        entries = _TYPE_LANES[part_sizes] = {}
     size = len(group) * array(code).itemsize
     for _, ms in blocks:
         for m in ms:
-            if m not in memo:
+            if m not in entries:
                 image = sum(x for v, x in enumerate(lanes) if m >> v & 1)
                 view = memoryview(image.to_bytes(size, sys.byteorder)).cast(code)
-                memo[m] = view.obj, view, max(view)
-    return [[memo[m] for m in ms] for _, ms in blocks]
+                entries[m] = view.obj, view, max(view)
+    return [[entries[m] for m in ms] for _, ms in blocks]
 
 
-def _canonical_blocks(part_sizes: tuple[int, ...], blocks: Blocks, memo: dict) -> Blocks:
+def _canonical_blocks(part_sizes: tuple[int, ...], blocks: Blocks) -> Blocks:
     """The orbit maximum of ``blocks``.  Encodings open with their largest
     top-quota image, so only the lanes where that image peaks are compared:
     ``bytes.find`` finds them (a hit counts when it starts on a lane
     boundary), ``itemgetter`` gathers them and ``map`` sorts each class's
     images per lane, with no Python frame per lane."""
     quotas = [k for k, _ in blocks]
-    rows = _lane_images(part_sizes, blocks, memo)
+    rows = _lane_images(part_sizes, blocks)
     tops = [e for k, r in zip(quotas, rows) if k == max(quotas) for e in r]
     peak = max(top for _, _, top in tops)
     width = tops[0][1].itemsize
@@ -398,7 +403,6 @@ def canonical_key(
     graph: MultipartiteGraph,
     lam: Lambda,
     partition: ColourPartition,
-    memo: dict | None = None,
 ) -> bytes:
     """Orbit invariant of an exact assignment under all symmetries.
 
@@ -406,18 +410,14 @@ def canonical_key(
     combination of colour renaming within classes, swaps of equal-quota
     classes, vertex permutations within parts and swaps of equal-size parts.
     The key spells the orbit maximum, which ``_canonical_blocks`` reads off
-    lane-packed vertex images.  Requires an exact (lam, partition).  A
-    ``memo`` passed over many calls on one shape keeps each type's lane data;
-    one used for another shape raises ValueError.
+    lane-packed vertex images, kept per type across calls on one shape.
+    Requires an exact (lam, partition).
     """
     if assignment.n != graph.n:
         raise ValueError("assignment and graph disagree on the vertex count")
     _check_quotas(assignment, lam, partition, exact=True)
-    memo = {} if memo is None else memo
-    if memo.setdefault(None, graph.part_sizes) != graph.part_sizes:
-        raise ValueError(f"lane memo built for shape {memo[None]}, not {graph.part_sizes}")
     blocks = _blocks_of(assignment, lam, partition)
-    canon = _canonical_blocks(graph.part_sizes, blocks, memo)
+    canon = _canonical_blocks(graph.part_sizes, blocks)
     return repr(canon).encode("ascii")
 
 
@@ -508,7 +508,6 @@ class AssignmentEnumerator:
         add = ColourableSets(G).add if self.prune else lambda family, s: family
         # E(r - 1) per owed colours and class, r_v the colours v is still owed
         complements, cuts = greedy_complements(G), {}
-        type_lanes = {}  # each type's lane data, built once for the leaf test
         later = [sum(quotas[ci + 1:]) - 1 for ci in range(len(quotas))]
 
         def cut(owed, ci):
@@ -536,7 +535,7 @@ class AssignmentEnumerator:
                     return
                 blocks = tuple(zip(quotas, done))
                 # already sorted, so the identity's encoding: a maximum iff it is
-                if _canonical_blocks(part_sizes, blocks, type_lanes) == blocks:
+                if _canonical_blocks(part_sizes, blocks) == blocks:
                     self.orbits_seen += 1
                     if not family >> full & 1:
                         yield self._build(done)

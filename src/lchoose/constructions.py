@@ -309,10 +309,11 @@ class ThreesFamilyEnumerator:
     singleton lists; a tuple whose normal form was seen before lies in the
     orbit of an earlier tuple and is skipped without a canonical key.  The
     others get a full ``canonical_key``, and a candidate is yielded when that
-    key is new.  The first tuple of every orbit in iteration order always
-    reaches its key, so the yielded candidates, their order and the budget's
-    state (its node count, and ``exhausted``, which ``truncated`` reads) are
-    those of a walk that keys every tuple.
+    key is new; all keys are on one shape, so ``assignment`` builds each
+    type's lane data once.  The first tuple of every orbit in iteration
+    order always reaches its key, so the yielded candidates, their order and
+    the budget's state (its node count, and ``exhausted``, which
+    ``truncated`` reads) are those of a walk that keys every tuple.
     Singleton lists are fixed to the lowest k colours to keep the family
     finite; the counting argument above is indifferent to them.  Totals
     whose vertex group is too large for canonical keys (k >= 8) raise
@@ -339,7 +340,6 @@ class ThreesFamilyEnumerator:
         lam = Lambda((k,))
         seen_forms: set[tuple] = set()
         seen: set[bytes] = set()
-        lanes: dict = {}  # one lane memo for every key of the enumeration
         partition = ColourPartition(lam, (0,) * u)
         vecs = list(_balanced_vectors(u, half))
         for rows in product(vecs, repeat=half):
@@ -350,7 +350,7 @@ class ThreesFamilyEnumerator:
                 continue
             seen_forms.add(form)
             cand = ThreesBadCandidate(k, (base,) + tuple(rows), singles)
-            key = canonical_key(cand.assignment, self.graph, lam, partition, lanes)
+            key = canonical_key(cand.assignment, self.graph, lam, partition)
             if key in seen:
                 continue
             seen.add(key)

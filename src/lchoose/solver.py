@@ -9,11 +9,11 @@ colours, exact tables decide this: the subset DP of ``ColourableSets`` run
 over the 2**u colour sets (Bjorklund, Husfeldt & Koivisto, SIAM J. Comput.
 2009), each family one 2**u-bit integer.  ``ok[i]``, the free sets from which
 parts i.. can be coloured, is the OR over part i's minimal covers x of
-``(ok[i+1] & sets_disjoint_from(x)) << x``, and a forward pass takes each
-part's first cover with the rest of its free colours in ``ok[i+1]``.  A
-greedy pass runs first, each part taking its first cover inside the free
-colours; if all get one, each left the later parts colourable, so it is the
-cover the forward pass would take, and no ``ok`` table is built.
+``(ok[i+1] & sets_disjoint_from(x)) << x``, with every set in ``ok`` past the
+last part, and a forward pass takes each part's first cover with the rest of
+its free colours in ``ok[i+1]``.  A greedy pass runs first, each part taking
+its first cover inside the free colours; if all get one, each left the later
+parts colourable, so it is the forward pass's cover, and no ``ok`` is built.
 Above that the 2**u-bit tables cost more than a depth-first search over
 minimal covers.  A part's covers are enumerated once per call and each node
 keeps those inside its free colours, which are exactly the covers of the
@@ -164,32 +164,33 @@ def _cover_search(graph: MultipartiteGraph, assignment: ListAssignment) -> Colou
     chosen = [0] * len(lists)
     memo_fail: set[tuple[int, int]] = set()
     covers: dict[tuple[int, ...], list[int]] = {}  # per part's lists, uncut
+    path = []  # per part on the path: its free colours and covers left (no frame per part)
+    avail = (1 << assignment.universe_size) - 1
+    while (pi := len(path)) < len(lists):
+        if (pi, avail) in memo_fail or pi + 1 < len(lists) and _short_of_colours(lists[pi:], avail):
+            memo_fail.add((pi, avail))
+        else:
+            if (masks := lists[pi]) not in covers:
+                covers[masks] = _minimal_covers(masks)
+            path.append((avail, iter(covers[masks])))
+        # the deepest part takes its next cover inside its free colours; a
+        # part with none left fails, and its parent takes its next one
+        while path:
+            free, rest = path[-1]
+            if (cover := next((x for x in rest if not x & ~free), None)) is not None:
+                break
+            memo_fail.add((len(path) - 1, free))
+            path.pop()
+        else:
+            return None
+        chosen[len(path) - 1] = cover
+        avail = free & ~cover
+    return _paint(lists, chosen)
 
-    def solve(pi: int, avail: int) -> bool:
-        if pi == len(lists):
-            return True
-        key = (pi, avail)
-        if key in memo_fail:
-            return False
-        if pi + 1 < len(lists) and _short_of_colours(lists[pi:], avail):
-            memo_fail.add(key)
-            return False
-        masks = lists[pi]
-        if masks not in covers:
-            covers[masks] = _minimal_covers(masks)
-        for cover in covers[masks]:
-            if not cover & ~avail and solve(pi + 1, avail & ~cover):
-                chosen[pi] = cover
-                return True
-        memo_fail.add(key)
-        return False
 
-    return _paint(lists, chosen) if solve(0, (1 << assignment.universe_size) - 1) else None
-
-
-def _table_covers(masks: tuple[int, ...], u: int) -> tuple[int, list[int]]:
-    """The covering family of ``masks``, as a 2**u-bit table, and its minimal
-    members (none one colour smaller) in ``_minimal_covers``' order."""
+def _table_covers(masks: tuple[int, ...], u: int) -> list[int]:
+    """Minimal covers of ``masks`` in ``_minimal_covers``' order: the members
+    of the covering family, a 2**u-bit table, none one colour smaller."""
     without = _sets_without(u)
     family = (1 << (1 << u)) - 1
     for m in masks:
@@ -206,7 +207,7 @@ def _table_covers(masks: tuple[int, ...], u: int) -> tuple[int, list[int]]:
     while i >= 0:
         minimal.append(i)
         i = bits.find("1", i + 1)
-    return family, sorted(minimal, key=int.bit_count)
+    return sorted(minimal, key=int.bit_count)
 
 
 def _table_search(graph: MultipartiteGraph, assignment: ListAssignment) -> Colouring | None:
@@ -215,12 +216,12 @@ def _table_search(graph: MultipartiteGraph, assignment: ListAssignment) -> Colou
     ``_ok_search``'s forward pass keeps; a part with none falls back to it."""
     u = assignment.universe_size
     lists = [assignment.masks[part.start:part.stop] for part in graph.parts]
-    tables: dict[tuple[int, ...], tuple[int, list[int]]] = {}
+    tables: dict[tuple[int, ...], list[int]] = {}
     free, chosen = (1 << u) - 1, []
     for masks in lists:
         if masks not in tables:
             tables[masks] = _table_covers(masks, u)
-        for x in tables[masks][1]:
+        for x in tables[masks]:
             if not x & ~free:
                 break
         else:
@@ -236,11 +237,10 @@ def _ok_search(lists: list[tuple[int, ...]], tables: dict, u: int) -> Colouring 
     without = _sets_without(u)
     for masks in set(lists) - tables.keys():
         tables[masks] = _table_covers(masks, u)
-    # the last part's ok is its covering family: the sets holding one of its covers
-    ok = [0] * (len(lists) - 1) + [tables[lists[-1]][0], (1 << (1 << u)) - 1]
-    for i in reversed(range(len(lists) - 1)):
+    ok = [0] * len(lists) + [(1 << (1 << u)) - 1]
+    for i in reversed(range(len(lists))):
         later = ok[i + 1]
-        for x in tables[lists[i]][1]:
+        for x in tables[lists[i]]:
             miss, c = later, x  # the sets of ok[i+1] that miss every colour of x
             while c:
                 miss &= without[(c & -c).bit_length() - 1]
@@ -251,7 +251,7 @@ def _ok_search(lists: list[tuple[int, ...]], tables: dict, u: int) -> Colouring 
         return None
     chosen = []
     for masks, later in zip(lists, ok[1:]):
-        for x in tables[masks][1]:
+        for x in tables[masks]:
             if not x & ~free and later >> (free & ~x) & 1:
                 break
         chosen.append(x)

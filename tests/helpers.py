@@ -225,10 +225,10 @@ def reference_canonical_blocks(part_sizes: tuple[int, ...], blocks: tuple) -> tu
 def reference_threes_family(
     k: int, budget: Budget, quotient=None
 ) -> tuple[list[ThreesBadCandidate], bool]:
-    """The miss-vector enumeration with a full canonical key, on a fresh lane
-    memo, for every row tuple whose ``quotient(rows, half)`` is new (by
-    default its row multiset): the candidates in order, and whether
-    ``budget`` cut the walk short."""
+    """The miss-vector enumeration with a full canonical key for every row
+    tuple whose ``quotient(rows, half)`` is new (by default its row
+    multiset): the candidates in order, and whether ``budget`` cut the walk
+    short."""
     from itertools import product as iproduct
 
     half = k // 2

@@ -437,16 +437,6 @@ def test_canonical_key_rejects_inexact():
         canonical_key(la, G, lam, ColourPartition(lam, (0, 0)))
 
 
-def test_canonical_key_refuses_a_memo_of_another_shape():
-    lam = Lambda((1,))
-    la, part = ListAssignment.from_lists(1, [[0], [0]]), ColourPartition(lam, (0,))
-    memo = {}
-    key = canonical_key(la, MultipartiteGraph((2,)), lam, part, memo)
-    assert canonical_key(la, MultipartiteGraph((2,)), lam, part, memo) == key
-    with pytest.raises(ValueError, match="lane memo"):
-        canonical_key(la, MultipartiteGraph((1, 1)), lam, part, memo)
-
-
 @pytest.mark.parametrize("lists, lam, built_for, classes", [
     ([[0], [0]], (1, 1), (1,), (0,)),
     ([[0, 1], [0, 1]], (1,), (1, 1), (0, 1)),
@@ -477,7 +467,7 @@ def test_canonical_blocks_match_the_per_permutation_reference():
     from lchoose.assignment import _canonical_blocks
 
     for sizes, blocks in _canonical_cases():
-        assert _canonical_blocks(sizes, blocks, {}) == reference_canonical_blocks(sizes, blocks)
+        assert _canonical_blocks(sizes, blocks) == reference_canonical_blocks(sizes, blocks)
 
 
 @pytest.mark.parametrize("sizes, blocks", [
@@ -504,24 +494,89 @@ def test_canonical_blocks_match_the_per_permutation_reference():
 def test_canonical_blocks_hand_cases(sizes, blocks):
     from lchoose.assignment import _canonical_blocks
 
-    assert _canonical_blocks(sizes, blocks, {}) == reference_canonical_blocks(sizes, blocks)
+    assert _canonical_blocks(sizes, blocks) == reference_canonical_blocks(sizes, blocks)
 
 
 def test_canonical_blocks_reuse_one_memo_per_shape():
-    # the walk keeps one memo of lane arrays across its leaves: a type met
-    # in one call must serve the next, whatever blocks hold it
-    from lchoose.assignment import _canonical_blocks
+    # the module keeps each type's lane data across calls on one shape: a
+    # type met in one call must serve the next, whatever blocks hold it
+    from lchoose import assignment
 
-    memo = {}
+    assignment._TYPE_LANES.clear()
     first = ((2, (0b0110, 0b0011)), (1, (0b1000,)))
     second = ((1, (0b0011,)), (1, (0b1001, 0b0110)))
+    built = []
     for blocks in (first, second, first):
-        assert _canonical_blocks((2, 2), blocks, memo) == reference_canonical_blocks((2, 2), blocks)
-    assert set(memo) == {0b0110, 0b0011, 0b1000, 0b1001}
-    memos = {}
-    for sizes, blocks in _canonical_cases():
-        got = _canonical_blocks(sizes, blocks, memos.setdefault(sizes, {}))
+        got = assignment._canonical_blocks((2, 2), blocks)
+        assert got == reference_canonical_blocks((2, 2), blocks)
+        built.append(assignment._TYPE_LANES[(2, 2)][0b0011])
+    assert set(assignment._TYPE_LANES[(2, 2)]) == {0b0110, 0b0011, 0b1000, 0b1001}
+    assert all(entry is built[0] for entry in built)
+    for sizes, blocks in _canonical_cases():  # grouped by shape
+        got = assignment._canonical_blocks(sizes, blocks)
         assert got == reference_canonical_blocks(sizes, blocks)
+
+
+def _exact_blocks(rng: random.Random, n: int) -> tuple:
+    """Random exact ``(quota, types)`` pairs, quotas ascending: a class of
+    quota k joins k random splits of the vertices into at most three types,
+    so each vertex lies in exactly k of them."""
+    blocks = []
+    for k in sorted(rng.randint(1, 2) for _ in range(rng.randint(1, 3))):
+        types = []
+        for _ in range(k):
+            label = [rng.randrange(3) for _ in range(n)]
+            types += [t for j in range(3) if (t := sum(1 << v for v in range(n) if label[v] == j))]
+        blocks.append((k, tuple(types)))
+    return tuple(blocks)
+
+
+def test_type_lanes_are_kept_for_the_last_shape_only():
+    # canonical forms and keys taken in turn over the shapes: a call on
+    # another shape than the last replaces every type entry, and each call
+    # still answers as the per-permutation reference
+    from itertools import zip_longest
+
+    from lchoose import assignment
+
+    rng = random.Random(59)
+    per_shape = [[c for c in _canonical_cases() if c[0] == sizes] for sizes, _ in CANONICAL_SHAPES]
+    last = None
+    for i, (sizes, blocks) in enumerate(c for row in zip_longest(*per_shape) for c in row if c):
+        if i % 2:
+            blocks = _exact_blocks(rng, sum(sizes))
+            types = [t for _, ts in blocks for t in ts]
+            la = ListAssignment(len(types), tuple(
+                sum(1 << c for c, t in enumerate(types) if t >> v & 1) for v in range(sum(sizes))))
+            lam = Lambda(tuple(k for k, _ in blocks))
+            part = ColourPartition(lam, tuple(ci for ci, (_, ts) in enumerate(blocks) for _ in ts))
+            got = canonical_key(la, MultipartiteGraph(sizes), lam, part)
+            assert got == repr(reference_canonical_blocks(sizes, blocks)).encode("ascii")
+        else:
+            assert assignment._canonical_blocks(sizes, blocks) == reference_canonical_blocks(
+                sizes, blocks)
+        assert sizes != last and list(assignment._TYPE_LANES) == [sizes]
+        assert set(assignment._TYPE_LANES[sizes]) == {t for _, ts in blocks for t in ts}
+        last = sizes
+
+
+def test_walks_in_lockstep_give_their_own_streams():
+    # two walks on different shapes, one item each in turn: each replaces
+    # the type entries the other built, and neither stream may change
+    from itertools import zip_longest
+
+    cells = (((2, 2, 1), (1, 2)), ((3, 2), (2,)))
+
+    def stream(sizes, parts):
+        return AssignmentEnumerator(MultipartiteGraph(sizes), Lambda(parts))
+
+    def items(enum):
+        return [(la.masks, part.class_of) for la, part in enum]
+
+    alone = [items(stream(*cell)) for cell in cells]
+    together = list(zip(*zip_longest(*(stream(*cell) for cell in cells))))
+    assert list(map(len, alone)) == [13326, 277]
+    assert [items(filter(None, row)) for row in together] == alone
 
 
 def test_peak_lanes_start_on_a_lane_boundary(monkeypatch):
@@ -538,10 +593,10 @@ def test_peak_lanes_start_on_a_lane_boundary(monkeypatch):
     gathered = set()
     monkeypatch.setattr(assignment, "itemgetter",
                         lambda *lanes: gathered.update(lanes) or itemgetter(*lanes))
-    memo = {}
-    got = assignment._canonical_blocks(sizes, blocks, memo)
+    assignment._TYPE_LANES.clear()
+    got = assignment._canonical_blocks(sizes, blocks)
     assert got == reference_canonical_blocks(sizes, blocks)
-    raw, view, peak = memo[0b000000001]
+    raw, view, peak = assignment._TYPE_LANES[sizes][0b000000001]
     assert view.itemsize == 2 and peak == 1 << 8
     needle = peak.to_bytes(2, sys.byteorder)
     assert any(raw[i:i + 2] == needle for i in range(1, len(raw) - 1, 2))  # a straddling hit
@@ -554,7 +609,7 @@ def test_cached_peaks_are_the_largest_images():
     # type is the top c vertices, which spares the 8! = 40,320-element groups
     import math
 
-    from lchoose.assignment import _lane_images
+    from lchoose import assignment
     from lchoose.graphs import part_vectors
 
     for sizes in (s for n in range(1, 9) for k in range(1, n + 1) for s in part_vectors(n, k)):
@@ -568,10 +623,10 @@ def test_cached_peaks_are_the_largest_images():
                 for v in g:
                     images += [x + (1 << v) for x in images]
                 best = list(map(max, best, images))
-        memo = {}
         types = tuple(range(1, 1 << n))
-        _lane_images(sizes, ((1, types),), memo)
-        assert [memo[m][2] for m in types] == best[1:], sizes
+        assignment._lane_images(sizes, ((1, types),))
+        entries = assignment._TYPE_LANES[sizes]
+        assert [entries[m][2] for m in types] == best[1:], sizes
 
 
 def test_leaf_test_agrees_with_the_orbit_maximum():
@@ -588,7 +643,7 @@ def test_leaf_test_agrees_with_the_orbit_maximum():
     for sizes, blocks in _canonical_cases():
         canon = reference_canonical_blocks(sizes, blocks)
         for b in (blocks, sort(blocks), canon):
-            leaf = _canonical_blocks(sizes, b, {}) == b
+            leaf = _canonical_blocks(sizes, b) == b
             assert leaf == (canon == b)
             seen.add((b == sort(b), leaf))
     assert seen == {(False, False), (True, False), (True, True)}

@@ -326,7 +326,7 @@ def test_minimal_covers_filter_by_free_colours():
         avail = rng.randint(0, full)
         cut = tuple(m & avail for m in masks)
         # the cover search's enumeration, and the minimal members of the tables
-        for covers_of in (solver._minimal_covers, lambda ms: solver._table_covers(ms, universe)[1]):
+        for covers_of in (solver._minimal_covers, lambda ms: solver._table_covers(ms, universe)):
             covers = covers_of(masks)
             if universe <= 8:
                 assert covers == _brute_minimal_covers(masks, universe), masks
@@ -391,3 +391,12 @@ def test_a_part_with_a_thousand_colour_cover_is_coloured():
     n = 1100
     la = ListAssignment(n, tuple(1 << i for i in range(n)))
     assert find_colouring(MultipartiteGraph((n,)), la).colour_of == tuple(range(n))
+
+
+def test_a_thousand_single_vertex_parts_are_coloured():
+    # K_1000 from full lists: the cover search must not take one stack frame
+    # per part; vertex i takes colour i
+    n = 1000
+    graph = MultipartiteGraph((1,) * n)
+    la = ListAssignment(n, ((1 << n) - 1,) * n)
+    assert find_colouring(graph, la).colour_of == tuple(range(n))
