@@ -546,8 +546,7 @@ def test_type_lanes_are_kept_for_the_last_shape_only():
         if i % 2:
             blocks = _exact_blocks(rng, sum(sizes))
             types = [t for _, ts in blocks for t in ts]
-            la = ListAssignment(len(types), tuple(
-                sum(1 << c for c, t in enumerate(types) if t >> v & 1) for v in range(sum(sizes))))
+            la = ListAssignment(len(types), tuple(assignment._transpose(types, sum(sizes))))
             lam = Lambda(tuple(k for k, _ in blocks))
             part = ColourPartition(lam, tuple(ci for ci, (_, ts) in enumerate(blocks) for _ in ts))
             got = canonical_key(la, MultipartiteGraph(sizes), lam, part)
