@@ -9,7 +9,6 @@ the first count carrying a counterexample.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .budget import Budget
@@ -49,6 +48,7 @@ def _cell_worker(job: Job) -> CellResult:
 def _run_cells(jobs: list[Job], threads: int) -> list[CellResult]:
     if threads <= 1 or len(jobs) <= 1:
         return [_cell_worker(j) for j in jobs]
+    from concurrent.futures import ProcessPoolExecutor  # so runs without a pool never load it
     # a forked pool starts every worker at once, wanted or not
     with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
         return list(pool.map(_cell_worker, jobs))

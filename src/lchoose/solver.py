@@ -4,23 +4,24 @@ machinery built on top of it.
 Vertices in different parts must receive different colours, so a proper
 colouring assigns each part a set of colours disjoint from every other
 part's set, with each vertex picking from its own list: each part in turn
-takes an inclusion-minimal cover of its lists.  Up to ``_TABLE_COLOURS``
-colours, exact tables decide this: the subset DP of ``ColourableSets`` run
-over the 2**u colour sets (Bjorklund, Husfeldt & Koivisto, SIAM J. Comput.
-2009), each family one 2**u-bit integer.  ``ok[i]``, the free sets from which
+takes an inclusion-minimal cover of its lists.  A part with lists inside a
+colour set X needs one colour of X, or two if those lists share none
+(Hall's condition, deficiency form), so parts needing more than all the
+colours are refused at once.  Up to ``_TABLE_COLOURS`` colours, exact tables
+decide the rest: the subset DP of ``ColourableSets`` run over the 2**u
+colour sets (Bjorklund, Husfeldt & Koivisto, SIAM J. Comput. 2009), each
+family one 2**u-bit integer.  A greedy pass gives each part its least
+covering set inside the free colours, by (popcount, value): its first
+minimal cover there.  If all get one, each left the later parts colourable.
+Only a stuck pass takes minimal covers: ``ok[i]``, the free sets from which
 parts i.. can be coloured, is the OR over part i's minimal covers x of
-``(ok[i+1] & sets_disjoint_from(x)) << x``, with every set in ``ok`` past the
-last part, and a forward pass takes each part's first cover with the rest of
-its free colours in ``ok[i+1]``.  A greedy pass runs first, each part taking
-its first cover inside the free colours; if all get one, each left the later
-parts colourable, so it is the forward pass's cover, and no ``ok`` is built.
-Above that the 2**u-bit tables cost more than a depth-first search over
-minimal covers.  A part's covers are enumerated once per call and each node
-keeps those inside its free colours, which are exactly the covers of the
-lists cut to them.  Each node first counts colours: a part with lists inside
-a colour set X needs one colour of X, or two if those lists share none
-(Hall's condition, deficiency form), and a node whose parts need more than X
-holds fails unbranched.
+``(ok[i+1] & sets_disjoint_from(x)) << x``, the last part's ``ok`` being its
+covering family, and a forward pass takes each part's first cover with the
+rest of its free colours in ``ok[i+1]``.  Above that the 2**u-bit tables
+cost more than a depth-first search over minimal covers.  A part's covers
+are enumerated once per call and each node keeps those inside its free
+colours, which are exactly the covers of the lists cut to them; a node whose
+parts need more colours of some X than X holds fails unbranched.
 """
 
 from __future__ import annotations
@@ -111,25 +112,28 @@ def _minimal_covers(masks: tuple[int, ...]) -> list[int]:
     return sorted(found, key=lambda c: (c.bit_count(), c))
 
 
+def _colours_needed(lists, x: int) -> int:
+    """Colours of X the parts need: one per part with lists inside X if
+    those lists share one, else two (see the module docstring)."""
+    need, out = 0, ~x
+    for part in lists:
+        common, hit = -1, False
+        for m in part:
+            if not m & out:
+                common &= m
+                hit = True
+        if hit:
+            need += 1 if common else 2
+    return need
+
+
 def _short_of_colours(lists: list[tuple[int, ...]], avail: int) -> bool:
     """Do these parts need more colours of some X than X holds?  X ranges
-    over ``avail`` and the lists cut to it (see the module docstring)."""
+    over ``avail`` and the lists cut to it."""
     rest = [[m & avail for m in part] for part in lists]
     if not all(map(all, rest)):
         return True
-    for x in {avail}.union(*rest):
-        need, out = 0, ~x
-        for part in rest:
-            common, hit = -1, False
-            for m in part:
-                if not m & out:
-                    common &= m
-                    hit = True
-            if hit:
-                need += 1 if common else 2
-        if need > x.bit_count():
-            return True
-    return False
+    return any(_colours_needed(rest, x) > x.bit_count() for x in {avail}.union(*rest))
 
 
 def find_colouring(graph: MultipartiteGraph, assignment: ListAssignment) -> Colouring | None:
@@ -144,7 +148,10 @@ def find_colouring(graph: MultipartiteGraph, assignment: ListAssignment) -> Colo
     """
     if assignment.n != graph.n:
         raise ValueError("assignment and graph disagree on the vertex count")
-    search = _table_search if assignment.universe_size <= _TABLE_COLOURS else _cover_search
+    u = assignment.universe_size
+    if _colours_needed([assignment.masks[p.start:p.stop] for p in graph.parts], (1 << u) - 1) > u:
+        return None
+    search = _table_search if u <= _TABLE_COLOURS else _cover_search
     return search(graph, assignment)
 
 
@@ -188,17 +195,44 @@ def _cover_search(graph: MultipartiteGraph, assignment: ListAssignment) -> Colou
     return _paint(lists, chosen)
 
 
-def _table_covers(masks: tuple[int, ...], u: int) -> list[int]:
-    """Minimal covers of ``masks`` in ``_minimal_covers``' order: the members
-    of the covering family, a 2**u-bit table, none one colour smaller."""
-    without = _sets_without(u)
-    family = (1 << (1 << u)) - 1
+@cache
+def _layers(u: int) -> tuple[int, ...]:
+    """Per popcount k, the 2**u-bit table of the colour sets of k colours:
+    a set holding colour c is one without it shifted up by 2**c."""
+    layers = [1] + [0] * u
+    for c in range(u):
+        for k in range(c + 1, 0, -1):
+            layers[k] |= layers[k - 1] << (1 << c)
+    return tuple(layers)
+
+
+def _missing(sets: int, x: int, without: tuple[int, ...]) -> int:
+    """The members of the family ``sets`` that miss every colour of x."""
+    while x:
+        sets &= without[(x & -x).bit_length() - 1]
+        x &= x - 1
+    return sets
+
+
+def _covering_family(masks: tuple[int, ...], without: tuple[int, ...]) -> int:
+    """The colour sets meeting every mask in ``masks``, a 2**u-bit table."""
+    family = (1 << (1 << len(without))) - 1
     for m in masks:
-        miss = -1  # the sets that miss every colour of m
-        while m:
-            miss &= without[(m & -m).bit_length() - 1]
-            m &= m - 1
-        family &= ~miss
+        family &= ~_missing(-1, m, without)
+    return family
+
+
+def _least(sets: int, layers: tuple[int, ...]) -> int | None:
+    """The least member of a family in (popcount, value) order, or None."""
+    for layer in layers:
+        if hit := sets & layer:
+            return (hit & -hit).bit_length() - 1
+    return None
+
+
+def _table_covers(family: int, without: tuple[int, ...]) -> list[int]:
+    """Minimal covers in ``_minimal_covers``' order: the members of the
+    covering family ``family`` none one colour smaller."""
     above = 0
     for c, sets in enumerate(without):
         above |= (family & sets) << (1 << c)
@@ -211,47 +245,42 @@ def _table_covers(masks: tuple[int, ...], u: int) -> list[int]:
 
 
 def _table_search(graph: MultipartiteGraph, assignment: ListAssignment) -> Colouring | None:
-    """Greedy first: each part takes its first cover inside the free colours.
-    If all get one, each kept the later parts colourable, so it is the cover
-    ``_ok_search``'s forward pass keeps; a part with none falls back to it."""
+    """Greedy first: each part takes its least covering set inside the free
+    colours.  If all get one, each kept the later parts colourable, so it is
+    the cover ``_ok_search``'s forward pass keeps; one with none falls back."""
     u = assignment.universe_size
+    without, layers = _sets_without(u), _layers(u)
     lists = [assignment.masks[part.start:part.stop] for part in graph.parts]
-    tables: dict[tuple[int, ...], list[int]] = {}
-    free, chosen = (1 << u) - 1, []
+    families: dict[tuple[int, ...], int] = {}
+    inside, chosen = (1 << (1 << u)) - 1, []  # the sets inside the free colours
     for masks in lists:
-        if masks not in tables:
-            tables[masks] = _table_covers(masks, u)
-        for x in tables[masks]:
-            if not x & ~free:
-                break
-        else:
-            return _ok_search(lists, tables, u)
+        if masks not in families:
+            families[masks] = _covering_family(masks, without)
+        if (x := _least(families[masks] & inside, layers)) is None:
+            return _ok_search(lists, families, u)
         chosen.append(x)
-        free &= ~x
+        inside = _missing(inside, x, without)
     return _paint(lists, chosen)
 
 
-def _ok_search(lists: list[tuple[int, ...]], tables: dict, u: int) -> Colouring | None:
+def _ok_search(lists: list[tuple[int, ...]], families: dict, u: int) -> Colouring | None:
     """The exact tables: no backtracking, since a part's cover is kept only
     when the rest of its free colours lie in ``ok`` of the parts after it."""
     without = _sets_without(u)
-    for masks in set(lists) - tables.keys():
-        tables[masks] = _table_covers(masks, u)
-    ok = [0] * len(lists) + [(1 << (1 << u)) - 1]
-    for i in reversed(range(len(lists))):
+    for masks in set(lists) - families.keys():
+        families[masks] = _covering_family(masks, without)
+    covers = {masks: _table_covers(family, without) for masks, family in families.items()}
+    ok = [0] * (len(lists) - 1) + [families[lists[-1]], (1 << (1 << u)) - 1]  # last: its family
+    for i in reversed(range(len(lists) - 1)):
         later = ok[i + 1]
-        for x in tables[lists[i]]:
-            miss, c = later, x  # the sets of ok[i+1] that miss every colour of x
-            while c:
-                miss &= without[(c & -c).bit_length() - 1]
-                c &= c - 1
-            ok[i] |= miss << x
+        for x in covers[lists[i]]:
+            ok[i] |= _missing(later, x, without) << x
     free = (1 << u) - 1
     if not ok[0] >> free & 1:
         return None
     chosen = []
     for masks, later in zip(lists, ok[1:]):
-        for x in tables[masks]:
+        for x in covers[masks]:
             if not x & ~free and later >> (free & ~x) & 1:
                 break
         chosen.append(x)

@@ -100,8 +100,6 @@ def test_threads_match_sequential():
 
 
 def test_pool_never_outnumbers_its_cells(monkeypatch):
-    import lchoose.search as search
-
     sizes = []
 
     class RecordingPool:
@@ -118,7 +116,7 @@ def test_pool_never_outnumbers_its_cells(monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     report = verify_choosable_below(Lambda((2,)), 5, threads=10**6)
     assert report.ok and len(report.cells) == 4
     assert sizes == [4]

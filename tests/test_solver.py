@@ -292,6 +292,38 @@ def test_colour_count_agrees_with_subset_dp(monkeypatch):
     assert cases_cut >= len(outcomes) * 0.25
 
 
+def test_root_colour_count_refuses_only_non_colourable_lists(monkeypatch):
+    # find_colouring refuses without a search when the parts need more than
+    # all the colours; the vertex-set subset DP, which shares no code with
+    # it, must agree on every refusal, and some refusals must rest on parts
+    # that need two colours (no more parts than colours)
+    searched = []
+
+    def traced(search):
+        def run(graph, la):
+            searched.append(search)
+            return search(graph, la)
+        return run
+
+    for name in ("_table_search", "_cover_search"):
+        monkeypatch.setattr(solver, name, traced(getattr(solver, name)))
+    cases = chain(colouring_random_corpus(seed=777), half_list_corpus(seed=11, count=400),
+                  _table_rule_boundary_cases(seed=1617, count=200))
+    oracles, refused, by_pairs = {}, 0, 0
+    for graph, la in cases:
+        searched.clear()
+        got = find_colouring(graph, la)
+        if searched:
+            continue
+        assert got is None, (graph, la)
+        if graph not in oracles:
+            oracles[graph] = make_colourability_oracle(graph)
+        assert not oracles[graph](la.masks), (graph, la)
+        refused += 1
+        by_pairs += len(graph.parts) <= la.universe_size
+    assert refused > 3000 and by_pairs > 300
+
+
 def test_large_non_colourable_instances_are_refuted():
     # each took seconds before the colour count (k42 at k=10 close to a
     # minute); the solve benchmark leaves several out for that reason
@@ -326,7 +358,9 @@ def test_minimal_covers_filter_by_free_colours():
         avail = rng.randint(0, full)
         cut = tuple(m & avail for m in masks)
         # the cover search's enumeration, and the minimal members of the tables
-        for covers_of in (solver._minimal_covers, lambda ms: solver._table_covers(ms, universe)):
+        without = solver._sets_without(universe)
+        table_covers = lambda ms: solver._table_covers(solver._covering_family(ms, without), without)
+        for covers_of in (solver._minimal_covers, table_covers):
             covers = covers_of(masks)
             if universe <= 8:
                 assert covers == _brute_minimal_covers(masks, universe), masks
@@ -336,6 +370,36 @@ def test_minimal_covers_filter_by_free_colours():
             else:
                 assert not [c for c in covers if not c & ~avail]
     assert checked > 2000
+
+
+def test_layer_tables_split_the_sets_by_popcount():
+    for u in range(11):
+        assert solver._layers(u) == tuple(
+            sum(1 << s for s in range(1 << u) if s.bit_count() == k) for k in range(u + 1)
+        )
+
+
+def test_greedy_pick_is_the_first_minimal_cover_inside_the_free_colours():
+    # the least covering set inside the free colours, read off the family and
+    # the layer tables, is the first minimal cover there, or there is none
+    rng = random.Random(909)
+    found = missed = 0
+    for _ in range(2000):
+        universe = rng.randint(1, 10)
+        full = (1 << universe) - 1
+        masks = tuple(rng.randint(1, full) for _ in range(rng.randint(1, 5)))
+        free = rng.randint(0, full)
+        without = solver._sets_without(universe)
+        family = solver._covering_family(masks, without)
+        assert family == sum(1 << s for s in range(full + 1) if all(m & s for m in masks))
+        inside = solver._missing((1 << (full + 1)) - 1, full & ~free, without)
+        assert inside == sum(1 << s for s in range(full + 1) if not s & ~free)
+        pick = solver._least(family & inside, solver._layers(universe))
+        first = next((c for c in solver._minimal_covers(masks) if not c & ~free), None)
+        assert pick == first, (masks, free)
+        found += first is not None
+        missed += first is None
+    assert found > 500 and missed > 500
 
 
 @pytest.mark.parametrize("sizes", [(3, 2, 1), (1, 3, 1), (1, 0, 3)])
