@@ -35,7 +35,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import accumulate, chain, permutations, product, repeat
+from itertools import accumulate, chain, permutations, product
 from operator import itemgetter
 from typing import Iterator
 
@@ -305,6 +305,17 @@ def vertex_group(part_sizes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(perms)
 
 
+@lru_cache(maxsize=None)
+def _peaks(part_sizes: tuple[int, ...]) -> tuple[int, ...]:
+    """Per vertex set s, its largest image under ``vertex_group(part_sizes)``:
+    each part's share of s packed into the part's top vertices, the shares
+    ascending along each run of equal-size parts (later parts sit higher)."""
+    ends = tuple(accumulate(part_sizes))
+    shares = (sorted((-size, (s >> end - size & (1 << size) - 1).bit_count())
+                     for size, end in zip(part_sizes, ends)) for s in range(1 << ends[-1]))
+    return tuple(sum(((1 << c) - 1) << end - c for (_, c), end in zip(row, ends)) for row in shares)
+
+
 def _generators(part_sizes: tuple[int, ...]) -> list[tuple[int, int]]:
     """Generators of ``vertex_group(part_sizes)`` as delta swaps ``(mask, shift)``.
 
@@ -364,7 +375,8 @@ def _canonical_blocks(part_sizes: tuple[int, ...], blocks: Blocks) -> Blocks:
     top-quota image, so only the lanes where that image peaks are compared:
     ``bytes.find`` finds them (a hit counts when it starts on a lane
     boundary), ``itemgetter`` gathers them and ``map`` sorts each class's
-    images per lane, with no Python frame per lane."""
+    images per lane, with no Python frame per lane.  Each quota group, highest
+    first, keeps only the lanes that reach its best encoding."""
     quotas = [k for k, _ in blocks]
     rows = _lane_images(part_sizes, blocks)
     tops = [e for k, r in zip(quotas, rows) if k == max(quotas) for e in r]
@@ -378,13 +390,20 @@ def _canonical_blocks(part_sizes: tuple[int, ...], blocks: Blocks) -> Blocks:
             if i % width == 0:
                 kept.add(i // width)
             i = raw.find(needle, i + 1)
-    get = itemgetter(min(kept), *kept)  # a repeated lane keeps every gather a tuple
+    lanes = list(kept)
     down = partial(sorted, reverse=True)
-    cols = [map(down, zip(*(get(v) for _, v, _ in r))) for r in rows]  # per class and kept lane
-    if len(cols) == 1:
-        return ((quotas[0], tuple(max(cols[0]))),)
-    best = max(map(down, zip(*(zip(repeat(k), c) for k, c in zip(quotas, cols)))))
-    return tuple((k, tuple(c)) for k, c in best)
+    if len(rows) == 1:
+        get = itemgetter(*lanes, lanes[0])  # the repeated lane keeps every gather a tuple
+        return ((quotas[0], tuple(max(map(down, zip(*(get(v) for _, v, _ in rows[0])))))),)
+    out = []
+    for k in sorted(set(quotas), reverse=True):
+        get = itemgetter(*lanes, lanes[0])
+        cols = [map(down, zip(*(get(v) for _, v, _ in r))) for q, r in zip(quotas, rows) if q == k]
+        encs = list(map(down, zip(*cols)))  # per kept lane, the group's classes
+        best = max(encs)
+        out += ((k, tuple(c)) for c in best)
+        lanes = [lane for lane, e in zip(lanes, encs) if e == best]
+    return tuple(out)
 
 
 def _blocks_of(assignment: ListAssignment, lam: Lambda, partition: ColourPartition) -> Blocks:
@@ -440,7 +459,11 @@ class AssignmentEnumerator:
     Ginsberg, Luks & Roy, KR 1996): adding types to p only raises the top
     order statistics of its image, so the whole class C has a larger image
     too, and g, fixing the classes before C, maps the leaf's encoding to a
-    larger one.  No orbit maximum is lost, the leaf test still decides which
+    larger one.  The first position also sees the whole group: an orbit
+    maximum opens with the peak (largest image, ``_peaks``) of a top-quota
+    type, so a type in a top-quota class whose peak exceeds the lead, the
+    first class's first type, is cut too (a first type itself is left to the
+    generators).  No orbit maximum is lost, the leaf test still decides which
     leaves are yielded, and the stream and its order are unchanged; only
     labelled nodes that lead to no yield are skipped.  Each node carries, per
     generator, the sorted image of its class prefix, and a child's images
@@ -502,6 +525,7 @@ class AssignmentEnumerator:
         quotas = tuple(sorted(self.lam.parts, reverse=True))
         part_sizes = G.part_sizes
         tick = self.budget.tick
+        peaks = _peaks(part_sizes)
         # ``owed`` packs the current class's colours each vertex is still owed
         layers = sum(1 << j * n for j in range(quotas[0]))
         # a family holds the sets the placed colours can colour (EMPTY unpruned)
@@ -546,12 +570,14 @@ class AssignmentEnumerator:
                 # cls is bound[:pos]; all of bound would have paid every
                 # owed colour, as bound did, and finished above
                 ceiling = min(ceiling, bound[pos])
+            # the peak cut (see the class note); a lead of ``full`` cuts nothing
+            lead = full if quotas[ci] < quotas[0] else (done[0] if done else cls or (full,))[0]
             # s runs down rem's submasks while it holds rem's top vertex T:
             # a type without T leaves T owed, and every later type of the
             # class, capped by s < 2**T, lacks T too
             s, top = rem + 1, 1 << rem.bit_length() - 1
             while (s := (s - 1) & rem) >= top:
-                if s > ceiling:
+                if s > ceiling or peaks[s] > lead:
                     continue
                 spread = s * layers
                 nxt = owed & ~spread | owed >> n & spread

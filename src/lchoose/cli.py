@@ -131,7 +131,7 @@ def _cmd_check(args) -> int:
     }
     _emit(payload)
     if verdict.status == CHOOSABLE:
-        print(f"{graph} is {lam}-choosable (exhaustive)", file=sys.stderr)
+        print(f"{graph} is {lam}-choosable ({verdict.reason or 'exhaustive'})", file=sys.stderr)
         return 0
     if verdict.status == NOT_CHOOSABLE:
         print(f"{graph} is not {lam}-choosable; counterexample attached", file=sys.stderr)

@@ -67,7 +67,7 @@ class Verdict:
     orbits_checked: int
     universe_bound: int
     counterexample: tuple[ListAssignment, ColourPartition] | None = None
-    reason: str | None = None  # why an INCONCLUSIVE run stopped
+    reason: str | None = None  # why an INCONCLUSIVE run stopped, or a walk-free CHOOSABLE's bound
 
     @property
     def exhaustive(self) -> bool:
@@ -318,12 +318,21 @@ def is_choosable(
     enumerator prunes colourable partial states without a solver call, so
     any assignment it yields is a genuine counterexample; the cover search
     re-checks it here regardless.  Shapes whose vertex group is too large
-    for the walk's canonical forms are INCONCLUSIVE before it starts.
+    for the walk's canonical forms are INCONCLUSIVE before it starts, unless
+    every part peels, largest first, while ``lam.total`` exceeds the vertices
+    outside it: lists that long then colour greedily (Erdos, Rubin & Taylor).
     """
     universe_bound = graph.n * lam.total
     try:
         enum = AssignmentEnumerator(graph, lam, budget, prune_colourable=True)
     except ValueError as exc:  # the only refusal: the group size
+        left = graph.n
+        for size in graph.part_sizes:  # descending: once a part stays, all later ones do
+            if lam.total > left - size:
+                left -= size
+        if left == 0:
+            return Verdict(CHOOSABLE, 0, universe_bound,
+                           reason="greedy bound of Erdos, Rubin and Taylor: every part peels")
         return Verdict(INCONCLUSIVE, 0, universe_bound, reason=str(exc))
     for la, partition in enum:
         if find_colouring(graph, la) is not None:

@@ -490,6 +490,19 @@ def test_canonical_blocks_match_the_per_permutation_reference():
     # the peak is shared by types in two equal-quota classes, in different lanes
     ((2, 2), ((2, (0b0011,)), (2, (0b1100, 0b0001)))),
     ((2, 2), ((1, (0b0001,)), (1, (0b0100, 0b0001)))),
+    # three quota groups, given in ascending quota order: every lane ties on
+    # the top group, and the lower groups decide
+    ((2, 2), ((1, (0b0001,)), (2, (0b0011,)), (3, (0b1111,)))),
+    ((2, 1), ((1, (0b001,)), (2, (0b011,)), (3, (0b111,)))),
+    # three quota groups in mixed order (two quota-1 classes in the first)
+    ((3, 3, 3, 1), ((1, (0b0000000011,)), (3, (0b1111111111,)),
+                    (2, (0b0000000111, 0b1000000000)), (1, (0b0000111000,)))),
+    ((3, 3), ((1, (0b000001,)), (3, (0b111111, 0b000110, 0b001001)),
+              (2, (0b000111, 0b111000)))),
+    # two lanes tie on the top group, and two lower classes decide
+    ((2, 2, 2), ((1, (0b000011,)), (2, (0b110000, 0b001100)), (1, (0b010101,)))),
+    # two equal top-quota classes tie in every lane, the lower one decides
+    ((2, 2), ((1, (0b0110, 0b1001)), (2, (0b1111,)), (2, (0b1111,)))),
 ])
 def test_canonical_blocks_hand_cases(sizes, blocks):
     from lchoose.assignment import _canonical_blocks
@@ -626,6 +639,22 @@ def test_cached_peaks_are_the_largest_images():
         assignment._lane_images(sizes, ((1, types),))
         entries = assignment._TYPE_LANES[sizes]
         assert [entries[m][2] for m in types] == best[1:], sizes
+
+
+def test_peaks_are_the_largest_explicit_images():
+    # every vertex set of every shape on at most 7 vertices, against the
+    # largest of its images under each explicit group element
+    from lchoose.assignment import _peaks
+    from lchoose.graphs import part_vectors
+
+    for sizes in (s for n in range(1, 8) for k in range(1, n + 1) for s in part_vectors(n, k)):
+        best = [0] * (1 << sum(sizes))
+        for g in vertex_group(sizes):
+            images = [0]  # images[m]: the image of the vertex set m under g
+            for v in g:
+                images += [x | 1 << v for x in images]
+            best = list(map(max, best, images))
+        assert list(_peaks(sizes)) == best, sizes
 
 
 def test_leaf_test_agrees_with_the_orbit_maximum():

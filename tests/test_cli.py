@@ -290,6 +290,19 @@ def test_oversized_shape_refused_before_the_walk(capsys):
     assert elapsed < 1.0
 
 
+def test_oversized_shape_decided_by_the_greedy_bound(capsys):
+    # K(9,1,1,1) has a 2,177,280-element group, past the limit, but its parts
+    # peel greedily for lists of 4 colours: the big part leaves 3 vertices
+    # outside, then each single leaves at most 2
+    start = time.perf_counter()
+    code, doc = run(capsys, ["check", "-g", "9,1,1,1", "-l", "4"])
+    elapsed = time.perf_counter() - start
+    assert code == 0 and doc["status"] == "CHOOSABLE"
+    assert doc["exhaustive"] is True and doc["orbits_checked"] == 0
+    assert "greedy bound" in doc["reason"] and doc["counterexample"] is None
+    assert elapsed < 1.0
+
+
 def test_budget_nodes_below_zero_are_usage_errors(capsys):
     for argv in (["phi", "-l", "2", "--search-up-to", "3", "--budget-nodes", "-3"],
                  ["check", "-g", "2,2", "-l", "2", "--budget-nodes", "-1"],

@@ -4,6 +4,7 @@ from itertools import chain
 
 import pytest
 
+from lchoose import assignment
 from lchoose.assignment import ListAssignment, is_lambda_assignment
 from lchoose.budget import Budget
 from lchoose.bundles import k42_block_sizes
@@ -27,6 +28,7 @@ from helpers import (
     half_list_corpus,
     naive_colouring_exists,
     naive_is_choosable,
+    reference_greedy_complements,
     reference_table_search,
 )
 
@@ -116,6 +118,24 @@ def test_is_choosable_matches_brute_force():
                     assert v.exhaustive and v.status in (CHOOSABLE, NOT_CHOOSABLE)
                     assert (v.status == CHOOSABLE) == naive_is_choosable(G, lam)
                     assert v.universe_bound == G.n * lam.total
+
+
+def test_oversized_shapes_peel_whole_parts_as_vertices_peel(monkeypatch):
+    # with every shape refused for its group, a verdict comes from the part
+    # peel alone: CHOOSABLE iff the plain-loop vertex peel empties V, that is
+    # iff the empty set is in E(k, ..., k)
+    monkeypatch.setattr(assignment, "_GROUP_LIMIT", 0)
+    seen = set()
+    for sizes in (s for n in range(1, 8) for k in range(1, n + 1) for s in part_vectors(n, k)):
+        graph = MultipartiteGraph(sizes)
+        for k in range(1, 5):
+            v = is_choosable(graph, Lambda((k,)))
+            peels = bool(reference_greedy_complements(graph, [k] * graph.n) & 1)
+            assert v.status == (CHOOSABLE if peels else INCONCLUSIVE), (sizes, k)
+            assert v.orbits_checked == 0 and v.counterexample is None
+            assert ("greedy bound" if peels else "symmetry group too large") in v.reason
+            seen.add(peels)
+    assert seen == {False, True}
 
 
 def test_not_choosable_produces_valid_counterexample():

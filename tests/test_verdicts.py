@@ -137,17 +137,17 @@ ANCHOR_COUNTEREXAMPLES = {
 
 
 # vertex-group fetches per anchored walk, one per leaf test, keyed by status
-ANCHOR_LEAF_CHECKS = {NOT_CHOOSABLE: 89, "CHOOSABLE": 181, INCONCLUSIVE: 108}
+ANCHOR_LEAF_CHECKS = {NOT_CHOOSABLE: 86, "CHOOSABLE": 142, INCONCLUSIVE: 88}
 
 
 @pytest.mark.parametrize(
     "sizes, parts, status, nodes, orbits",
     [
-        ((4, 2), (2,), NOT_CHOOSABLE, 267, 81),
-        ((2, 2, 2), (1, 2), "CHOOSABLE", 818, 95),
-        # a truncated walk: the budget is one node short of the count,
-        # because the tick that overruns it is counted too
-        ((2, 2, 2), (1, 2), INCONCLUSIVE, 501, 75),
+        ((4, 2), (2,), NOT_CHOOSABLE, 261, 81),
+        ((2, 2, 2), (1, 2), "CHOOSABLE", 677, 95),
+        # a truncated walk, about 60% of the way: the budget is one node
+        # short of the count, because the tick that overruns it is counted too
+        ((2, 2, 2), (1, 2), INCONCLUSIVE, 401, 61),
     ],
 )
 def test_walk_node_anchors(sizes, parts, status, nodes, orbits, monkeypatch):
@@ -186,16 +186,33 @@ def test_pruned_walk_matches_the_reference_walk(sizes, parts):
 
 @pytest.mark.parametrize("sizes, parts, max_nodes", [
     *((sizes, parts, None) for sizes, parts in _cells() if sum(sizes) <= 4),
-    # larger walks, cut by the budget at the same node
+    # larger walks, cut by the budget
     ((2, 1, 1, 1), (1, 1, 2), 5_000),
     ((3, 2, 1), (3,), 5_000),
+    # every cell of total 2 or 3 on 5 vertices, and the 2-part ones on 6
+    *((sizes, parts, None) for sizes, parts in _cells()
+      if sum(parts) <= 3 and sum(sizes) == 5 or len(sizes) == 2 and sum(sizes) == 6),
 ])
 def test_unpruned_walk_matches_the_reference_walk(sizes, parts, max_nodes):
-    # without the colourability prune the walk enters the same states:
-    # the scan bound skips only rejected types, and the leaf test is exact
-    got = _walk(AssignmentEnumerator, sizes, parts, False, max_nodes)
-    assert got == _walk(ReferenceAssignmentEnumerator, sizes, parts, False, max_nodes)
-    assert got[2] == (max_nodes is not None)
+    # without the colourability prune the walk enters a subset of the
+    # reference's states: the scan bound skips only rejected types, the peak
+    # cut only prefixes with no orbit maximum below, and the leaf test is exact
+    stream, orbits, truncated, nodes = _walk(AssignmentEnumerator, sizes, parts, False, max_nodes)
+    ref = _walk(ReferenceAssignmentEnumerator, sizes, parts, False, max_nodes)
+    if max_nodes is None:
+        assert (stream, orbits, truncated) == ref[:3] and nodes <= ref[3]
+    else:  # cut at the same node, or further on along the same stream
+        assert (stream, orbits, truncated, nodes) == ref or stream[:len(ref[0])] == ref[0]
+    assert truncated == (max_nodes is not None)
+
+
+def test_peak_cut_enters_fewer_nodes_than_the_reference_walk():
+    # (4,2)/(1,1): both top-quota classes meet types whose peak beats the
+    # lead, which the single-generator checks let through
+    got = _walk(AssignmentEnumerator, (4, 2), (1, 1), False)
+    ref = _walk(ReferenceAssignmentEnumerator, (4, 2), (1, 1), False)
+    assert got[:3] == ref[:3] and len(got[0]) == got[1] == 978
+    assert (got[3], ref[3]) == (2_619, 3_211)
 
 
 if __name__ == "__main__":
