@@ -309,11 +309,16 @@ def vertex_group(part_sizes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 def _peaks(part_sizes: tuple[int, ...]) -> tuple[int, ...]:
     """Per vertex set s, its largest image under ``vertex_group(part_sizes)``:
     each part's share of s packed into the part's top vertices, the shares
-    ascending along each run of equal-size parts (later parts sit higher)."""
-    ends = tuple(accumulate(part_sizes))
-    shares = (sorted((-size, (s >> end - size & (1 << size) - 1).bit_count())
-                     for size, end in zip(part_sizes, ends)) for s in range(1 << ends[-1]))
-    return tuple(sum(((1 << c) - 1) << end - c for (_, c), end in zip(row, ends)) for row in shares)
+    ascending along each run of equal-size parts (later parts sit higher).
+    A run's peaks read only its vertices, so the runs' tables add up."""
+    table, base = [0], 0
+    for size in sorted(set(part_sizes), reverse=True):  # the runs, in vertex order
+        ends = range(base + size, base + size * part_sizes.count(size) + 1, size)
+        shares = (sorted((s >> end - size - base & (1 << size) - 1).bit_count() for end in ends)
+                  for s in range(1 << ends[-1] - base))  # s: the run's vertices, shifted down
+        run = [sum(((1 << c) - 1) << end - c for c, end in zip(row, ends)) for row in shares]
+        table, base = [hi + lo for hi in run for lo in table], ends[-1]
+    return tuple(table)
 
 
 def _generators(part_sizes: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -471,17 +476,20 @@ class AssignmentEnumerator:
 
     With ``prune_colourable`` set, colourable leaves are suppressed, which
     turns the stream into the stream of counterexample orbits.  Each node
-    gets from its parent a ``ColourableSets`` family, updated once for the
-    colour just placed: no solver runs and nothing is undone on backtrack.
+    gets from its parent a ``ColourableSets`` family and, before its child
+    loop, tables per part that family joined by a colour on each submask of
+    the part's owed vertices (``ColourableSets.shares``): a child's family is
+    one OR per part, no solver runs and nothing is undone on backtrack.
     A child that finishes the last class is always entered, as its leaf test
     counts the orbit.  Any other child is cut when its family meets E(r - 1)
-    of ``greedy_complements``, r_v being the colours vertex v is still owed
-    in this class and the later ones: colour W from the placed colours, then
-    the rest greedily from fresh ones, of which v gets r_v - 1 or more short
-    of the final colour.  So every leaf-parent below is colourable, and no
-    leaf is entered from a colourable parent (V is in E(r - 1)): orbits
-    counted and the stream are those of a walk that cuts colourable children
-    only, which loses no counterexample, as none has a colourable prefix.
+    of ``greedy_complements`` (kept per class by the owed counters), r_v
+    being the colours vertex v is still owed in this class and the later
+    ones: colour W from the placed colours, then the rest greedily from
+    fresh ones, of which v gets r_v - 1 or more short of the final colour.
+    So every leaf-parent below is colourable, and no leaf is entered from a
+    colourable parent (V is in E(r - 1)): orbits counted and the stream are
+    those of a walk that cuts colourable children only, which loses no
+    counterexample, as none has a colourable prefix.
 
     Every state the walk enters ticks the budget once; ``truncated`` reads
     ``budget.exhausted``, and ``orbits_seen`` counts the canonical leaves
@@ -524,22 +532,15 @@ class AssignmentEnumerator:
         full = (1 << n) - 1
         quotas = tuple(sorted(self.lam.parts, reverse=True))
         part_sizes = G.part_sizes
-        tick = self.budget.tick
+        tick, prune = self.budget.tick, self.prune
         peaks = _peaks(part_sizes)
         # ``owed`` packs the current class's colours each vertex is still owed
         layers = sum(1 << j * n for j in range(quotas[0]))
         # a family holds the sets the placed colours can colour (EMPTY unpruned)
-        add = ColourableSets(G).add if self.prune else lambda family, s: family
-        # E(r - 1) per owed colours and class, r_v the colours v is still owed
-        complements, cuts = greedy_complements(G), {}
+        tables = ColourableSets(G).shares
+        # per class, E(r - 1) by the owed counters, r_v the colours v is still owed
+        complements, cuts = greedy_complements(G), [{} for _ in quotas]
         later = [sum(quotas[ci + 1:]) - 1 for ci in range(len(quotas))]
-
-        def cut(owed, ci):
-            if (family := cuts.get((owed, ci))) is None:
-                family = cuts[owed, ci] = complements(
-                    [(owed >> v & layers).bit_count() + later[ci] for v in range(n)])
-            return family
-
         start = ()  # every class opens with this prefix; ``img is cls`` tests for it
 
         def grow(ci, done, cls, owed, family, gens, images, bound):
@@ -576,19 +577,27 @@ class AssignmentEnumerator:
             # a type without T leaves T owed, and every later type of the
             # class, capped by s < 2**T, lacks T too
             s, top = rem + 1, 1 << rem.bit_length() - 1
+            shares = tables(family, rem) if prune else ()  # one OR per part gives a child's family
+            memo, last = cuts[ci], ci + 1 == len(quotas)
             while (s := (s - 1) & rem) >= top:
                 if s > ceiling or peaks[s] > lead:
                     continue
                 spread = s * layers
                 nxt = owed & ~spread | owed >> n & spread
                 left = nxt & full
+                fam = family
+                for part, table in shares:
+                    fam |= table[s & part]
                 # a child that finishes the last class is always entered (its
                 # leaf counts an orbit); any other is cut once every
                 # leaf-parent below it is colourable; this cut runs before the
                 # lex-leader one, which cuts fewer children at more cost each
-                fam = add(family, s)
-                if self.prune and (left or ci + 1 < len(quotas)) and fam & cut(nxt, ci):
-                    continue
+                if prune and (left or not last):
+                    if (cut := memo.get(nxt)) is None:
+                        cut = memo[nxt] = complements(
+                            [(nxt >> v & layers).bit_count() + later[ci] for v in range(n)])
+                    if fam & cut:
+                        continue
                 # lex-leader cut: no orbit maximum lies below a prefix that
                 # some generator maps to a larger one
                 p = cls + (s,)

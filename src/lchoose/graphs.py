@@ -8,7 +8,7 @@ different parts, so the part vector is the whole graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 from itertools import accumulate
 from operator import or_
 from typing import Callable, Iterator, Sequence
@@ -85,8 +85,9 @@ class ColourableSets:
 
     A family is a 2**n-bit integer: bit W is set iff the vertex set W can be
     properly coloured from the colours so far.  A colour serves one part
-    only, so ``add`` is exact as a zeta transform over each part's share of
-    the colour's type (Bjorklund, Husfeldt & Koivisto, SIAM J. Comput. 2009).
+    only, so joining it is exact as a zeta transform over each part's share
+    of its type (Bjorklund, Husfeldt & Koivisto, SIAM J. Comput. 2009), which
+    ``shares`` tables for every type inside a mask at once.
     """
 
     EMPTY = 1  # just the empty set
@@ -97,18 +98,25 @@ class ColourableSets:
         self._part_masks = tuple(((1 << len(p)) - 1) << p.start for p in graph.parts)
         self._without = subsets_without(n)
 
+    def shares(self, family: int, rem: int) -> list[tuple[int, dict[int, int]]]:
+        """Per part P meeting ``rem``, P's mask and its share table: per
+        submask t of ``rem & P``, the family once a colour on t joins.  Each
+        entry is one shift-and from the entry without t's lowest vertex."""
+        out = []
+        for part in self._part_masks:
+            if r := rem & part:
+                table, t = {0: family}, 0
+                while t := (t - r) & r:  # the submasks of r, ascending
+                    low = t & -t
+                    g = table[t ^ low]
+                    table[t] = g | (g & self._without[low.bit_length() - 1]) << low
+                out.append((part, table))
+        return out
+
     def add(self, family: int, type_mask: int) -> int:
         """The family once a colour on the vertices of ``type_mask`` joins."""
-        out = family
-        for part in self._part_masks:
-            t = type_mask & part
-            g = family
-            while t:
-                low = t & -t
-                g |= (g & self._without[low.bit_length() - 1]) << low
-                t ^= low
-            out |= g
-        return out
+        shares = self.shares(family, type_mask)
+        return reduce(or_, (table[type_mask & part] for part, table in shares), family)
 
 
 def greedy_complements(graph: MultipartiteGraph) -> Callable[[Sequence[int]], int]:

@@ -7,8 +7,8 @@ from __future__ import annotations
 import random
 import sys
 from array import array
-from functools import cache
-from itertools import permutations, product
+from functools import cache, partial
+from itertools import accumulate, permutations, product
 from typing import Iterator
 
 from lchoose.assignment import (
@@ -60,6 +60,32 @@ def reference_greedy_complements(graph: MultipartiteGraph, f) -> int:
         if not left:
             family |= 1 << w
     return family
+
+
+def reference_add(graph: MultipartiteGraph, family: int, type_mask: int) -> int:
+    """``ColourableSets.add`` as it stood before the per-part share tables:
+    per part, one shift-and zeta step for each vertex of the type's share."""
+    without = _reference_sets_without(graph.n)
+    out = family
+    for part in (((1 << len(p)) - 1) << p.start for p in graph.parts):
+        t = type_mask & part
+        g = family
+        while t:
+            low = t & -t
+            g |= (g & without[low.bit_length() - 1]) << low
+            t ^= low
+        out |= g
+    return out
+
+
+def reference_peaks(part_sizes: tuple[int, ...]) -> tuple[int, ...]:
+    """``_peaks`` in its closed form over the whole vertex set: per set, the
+    parts' share counts sorted by (size descending, count ascending) and
+    packed into each part's top vertices."""
+    ends = tuple(accumulate(part_sizes))
+    shares = (sorted((-size, (s >> end - size & (1 << size) - 1).bit_count())
+                     for size, end in zip(part_sizes, ends)) for s in range(1 << ends[-1]))
+    return tuple(sum(((1 << c) - 1) << end - c for (_, c), end in zip(row, ends)) for row in shares)
 
 
 def _squeezed_random_assignment(rng: random.Random, n: int, universe_cap: int) -> ListAssignment:
@@ -512,7 +538,7 @@ class ReferenceAssignmentEnumerator:
         # ``owed`` packs the current class's colours each vertex is still owed
         layers = sum(1 << j * n for j in range(quotas[0]))
         # a family holds the sets the placed colours can colour (EMPTY unpruned)
-        add = ColourableSets(G).add if self.prune else lambda family, s: family
+        add = partial(reference_add, G) if self.prune else lambda family, s: family
         start = ()  # every class opens with this prefix; ``img is cls`` tests for it
 
         def grow(ci, done, cls, owed, family, gens, images, bound):

@@ -25,6 +25,7 @@ from helpers import (
     naive_witness_exists,
     random_blocks,
     reference_canonical_blocks,
+    reference_peaks,
     reference_trim_to_exact,
     reference_vertex_group,
     reference_witness,
@@ -655,6 +656,17 @@ def test_peaks_are_the_largest_explicit_images():
                 images += [x | 1 << v for x in images]
             best = list(map(max, best, images))
         assert list(_peaks(sizes)) == best, sizes
+
+
+def test_peaks_by_runs_match_the_closed_form():
+    # the run-by-run outer sum against the whole-set closed form, on every
+    # shape up to 9 vertices and on one 17-vertex shape of four runs
+    from lchoose.assignment import _peaks
+    from lchoose.graphs import part_vectors
+
+    shapes = [s for n in range(1, 10) for k in range(1, n + 1) for s in part_vectors(n, k)]
+    for sizes in shapes + [(4, 3, 3, 2, 2, 2, 1)]:
+        assert _peaks(sizes) == reference_peaks(sizes), sizes
 
 
 def test_leaf_test_agrees_with_the_orbit_maximum():

@@ -6,7 +6,7 @@ import pytest
 from lchoose.assignment import ListAssignment
 from lchoose.graphs import ColourableSets, MultipartiteGraph, greedy_complements, part_vectors
 
-from helpers import naive_colouring_exists, reference_greedy_complements
+from helpers import naive_colouring_exists, reference_add, reference_greedy_complements
 
 
 def test_normalisation():
@@ -93,6 +93,19 @@ def test_colourable_sets_match_brute_force():
                 for pick in product(range(len(types)), repeat=len(members))
             )
             assert bool(family >> W & 1) == want, (graph, types, W)
+        # the share tables of a random family and rem, read at every s inside
+        # rem: W joins when some X inside s & W and one part leaves W - X in
+        # the family
+        family, rem = rng.getrandbits(1 << n), rng.randrange(1 << n)
+        shares = sets.shares(family, rem)
+        for s in (s for s in range(1 << n) if not s & ~rem):
+            got = family
+            for part, table in shares:
+                got |= table[s & part]
+            want = sum(1 << W for W in range(1 << n) if any(
+                family >> (W ^ X) & 1 for X in range(1 << n) if not X & ~(s & W)
+                and len({graph.part_of[v] for v in range(n) if X >> v & 1}) <= 1))
+            assert got == want == reference_add(graph, family, s), (graph, family, rem, s)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
