@@ -30,7 +30,6 @@ a positive count, and ``x & ~y`` is nonzero iff some count in x exceeds y's.
 
 from __future__ import annotations
 
-import math
 import sys
 from array import array
 from dataclasses import dataclass
@@ -278,9 +277,15 @@ def trim_to_exact(
 
 
 def _check_group(part_sizes: tuple[int, ...]) -> None:
-    order = math.prod(math.factorial(s) for s in part_sizes) * math.prod(
-        math.factorial(part_sizes.count(s)) for s in set(part_sizes)
-    )
+    # the order's factors one at a time, stopping past a machine word: a huge
+    # part builds no huge factorial, and no reason spells a huge number
+    order = 1
+    for f in chain(*(range(2, s + 1) for s in part_sizes),
+                   *(range(2, part_sizes.count(s) + 1) for s in set(part_sizes))):
+        order *= f
+        if order > sys.maxsize:
+            raise ValueError(f"symmetry group too large (past the {_GROUP_LIMIT:,}-element "
+                             "limit) for explicit canonical forms")
     if order > _GROUP_LIMIT:
         raise ValueError(f"symmetry group too large ({order}) for explicit canonical forms")
 
@@ -345,15 +350,15 @@ Blocks = tuple  # tuple[(quota, tuple[type mask, ...]), ...]
 
 # per shape: the lane typecode and, per vertex v, an integer whose lane g is 1 << g[v]
 _LANES: dict[tuple[int, ...], tuple[str, list[int]]] = {}
-# per type of the shape keyed most recently, and of no other: its lane data
-_TYPE_LANES: dict[tuple[int, ...], dict[int, tuple[bytes, memoryview, int]]] = {}
+# per type of the shape keyed most recently, and of no other: its lanes and peak lanes
+_TYPE_LANES: dict[tuple[int, ...], dict[int, tuple[memoryview, list[int]]]] = {}
 
 
 def _lane_images(part_sizes: tuple[int, ...],
-                 blocks: Blocks) -> list[list[tuple[bytes, memoryview, int]]]:
+                 blocks: Blocks) -> list[list[tuple[memoryview, list[int]]]]:
     """Per class and type of ``blocks``, the type's images under every
-    vertex-group element (the sum of its vertices' lanes) as bytes, a
-    ``memoryview`` of them cast to lanes, and their peak (largest lane).
+    vertex-group element (the sum of its vertices' lanes) as a ``memoryview``
+    cast to lanes, and the lanes that hold the type's peak (``_peaks``).
     Each type's entry is built once and kept until another shape is keyed."""
     group = vertex_group(part_sizes)
     n = sum(part_sizes)
@@ -365,45 +370,39 @@ def _lane_images(part_sizes: tuple[int, ...],
     if (entries := _TYPE_LANES.get(part_sizes)) is None:
         _TYPE_LANES.clear()
         entries = _TYPE_LANES[part_sizes] = {}
+    peaks = _peaks(part_sizes)
     size = len(group) * array(code).itemsize
     for _, ms in blocks:
         for m in ms:
             if m not in entries:
                 image = sum(x for v, x in enumerate(lanes) if m >> v & 1)
                 view = memoryview(image.to_bytes(size, sys.byteorder)).cast(code)
-                entries[m] = view.obj, view, max(view)
+                entries[m] = view, [g for g, x in enumerate(view) if x == peaks[m]]
     return [[entries[m] for m in ms] for _, ms in blocks]
 
 
 def _canonical_blocks(part_sizes: tuple[int, ...], blocks: Blocks) -> Blocks:
     """The orbit maximum of ``blocks``.  Encodings open with their largest
-    top-quota image, so only the lanes where that image peaks are compared:
-    ``bytes.find`` finds them (a hit counts when it starts on a lane
-    boundary), ``itemgetter`` gathers them and ``map`` sorts each class's
-    images per lane, with no Python frame per lane.  Each quota group, highest
-    first, keeps only the lanes that reach its best encoding."""
+    top-quota image, the largest ``_peaks`` value of a top-quota type, so
+    only the peak lanes of the types that reach it are compared:
+    ``itemgetter`` gathers them and ``map`` sorts each class's images per
+    lane, with no Python frame per lane.  Each quota group, highest first,
+    keeps only the lanes that reach its best encoding."""
     quotas = [k for k, _ in blocks]
     rows = _lane_images(part_sizes, blocks)
-    tops = [e for k, r in zip(quotas, rows) if k == max(quotas) for e in r]
-    peak = max(top for _, _, top in tops)
-    width = tops[0][1].itemsize
-    needle = peak.to_bytes(width, sys.byteorder)
-    kept = set()
-    for raw, _, top in tops:
-        i = raw.find(needle) if top == peak else -1
-        while i >= 0:
-            if i % width == 0:
-                kept.add(i // width)
-            i = raw.find(needle, i + 1)
-    lanes = list(kept)
+    peaks = _peaks(part_sizes)
+    tops = [(peaks[m], hits) for (k, ms), r in zip(blocks, rows) if k == max(quotas)
+            for m, (_, hits) in zip(ms, r)]
+    peak = max(p for p, _ in tops)
+    lanes = list(set().union(*(hits for p, hits in tops if p == peak)))
     down = partial(sorted, reverse=True)
     if len(rows) == 1:
         get = itemgetter(*lanes, lanes[0])  # the repeated lane keeps every gather a tuple
-        return ((quotas[0], tuple(max(map(down, zip(*(get(v) for _, v, _ in rows[0])))))),)
+        return ((quotas[0], tuple(max(map(down, zip(*(get(v) for v, _ in rows[0])))))),)
     out = []
     for k in sorted(set(quotas), reverse=True):
         get = itemgetter(*lanes, lanes[0])
-        cols = [map(down, zip(*(get(v) for _, v, _ in r))) for q, r in zip(quotas, rows) if q == k]
+        cols = [map(down, zip(*(get(v) for v, _ in r))) for q, r in zip(quotas, rows) if q == k]
         encs = list(map(down, zip(*cols)))  # per kept lane, the group's classes
         best = max(encs)
         out += ((k, tuple(c)) for c in best)

@@ -592,11 +592,9 @@ def test_walks_in_lockstep_give_their_own_streams():
     assert [items(filter(None, row)) for row in together] == alone
 
 
-def test_peak_lanes_start_on_a_lane_boundary(monkeypatch):
-    # 2-byte lanes (n = 9): the type {0} peaks at 1 << 8, whose two bytes
-    # also straddle lanes, e.g. a lane below 256 followed by a lane holding 1;
-    # only the lanes that hold the peak may be gathered
-    import sys
+def test_two_byte_peak_lanes_are_gathered(monkeypatch):
+    # 2-byte lanes (n = 9): the type {0} peaks at 1 << 8, in the lanes g
+    # with g[0] == 8; those lanes, and no others, are gathered
     from operator import itemgetter
 
     from lchoose import assignment
@@ -609,37 +607,33 @@ def test_peak_lanes_start_on_a_lane_boundary(monkeypatch):
     assignment._TYPE_LANES.clear()
     got = assignment._canonical_blocks(sizes, blocks)
     assert got == reference_canonical_blocks(sizes, blocks)
-    raw, view, peak = assignment._TYPE_LANES[sizes][0b000000001]
-    assert view.itemsize == 2 and peak == 1 << 8
-    needle = peak.to_bytes(2, sys.byteorder)
-    assert any(raw[i:i + 2] == needle for i in range(1, len(raw) - 1, 2))  # a straddling hit
-    assert gathered == {i for i, g in enumerate(vertex_group(sizes)) if g[0] == 8}
+    view, hits = assignment._TYPE_LANES[sizes][0b000000001]
+    assert view.itemsize == 2
+    assert gathered == set(hits) == {i for i, g in enumerate(vertex_group(sizes)) if g[0] == 8}
 
 
-def test_cached_peaks_are_the_largest_images():
-    # every type of every shape on at most 8 vertices; where the group is all
-    # of S_n (one part, or all parts single) the largest image of a c-vertex
-    # type is the top c vertices, which spares the 8! = 40,320-element groups
-    import math
-
+def test_peak_lanes_hold_the_largest_images():
+    # every type of every shape on at most 8 vertices but the two whose group
+    # is all of S_8: a type's peak lanes are exactly the group elements under
+    # which its explicit image is the largest one
     from lchoose import assignment
     from lchoose.graphs import part_vectors
 
-    for sizes in (s for n in range(1, 9) for k in range(1, n + 1) for s in part_vectors(n, k)):
-        n, group = sum(sizes), vertex_group(sizes)
-        if len(group) == math.factorial(n):
-            best = [((1 << m.bit_count()) - 1) << n - m.bit_count() for m in range(1 << n)]
-        else:
-            best = [0] * (1 << n)
-            for g in group:
-                images = [0]  # images[m]: the image of type m under g
-                for v in g:
-                    images += [x + (1 << v) for x in images]
-                best = list(map(max, best, images))
-        types = tuple(range(1, 1 << n))
+    shapes = (s for n in range(1, 9) for k in range(1, n + 1) for s in part_vectors(n, k))
+    for sizes in (s for s in shapes if s not in ((8,), (1,) * 8)):
+        per_lane = []  # per group element g, the image of every type under g
+        for g in vertex_group(sizes):
+            images = [0]  # images[m]: the image of type m under g
+            for v in g:
+                images += [x + (1 << v) for x in images]
+            per_lane.append(images)
+        types = tuple(range(1, 1 << sum(sizes)))
         assignment._lane_images(sizes, ((1, types),))
         entries = assignment._TYPE_LANES[sizes]
-        assert [entries[m][2] for m in types] == best[1:], sizes
+        for m in types:
+            column = [images[m] for images in per_lane]
+            best = max(column)
+            assert entries[m][1] == [g for g, x in enumerate(column) if x == best], (sizes, m)
 
 
 def test_peaks_are_the_largest_explicit_images():

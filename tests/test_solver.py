@@ -138,6 +138,15 @@ def test_oversized_shapes_peel_whole_parts_as_vertices_peel(monkeypatch):
     assert seen == {False, True}
 
 
+def test_huge_group_refused_by_its_limit():
+    # K(2000,2000)'s group order has over 11,000 digits, and lists of 2 do
+    # not peel: the refusal names the limit instead of spelling the order
+    v = is_choosable(MultipartiteGraph((2000, 2000)), Lambda((2,)))
+    assert v.status == INCONCLUSIVE and v.orbits_checked == 0
+    assert "symmetry group too large" in v.reason
+    assert f"{assignment._GROUP_LIMIT:,}" in v.reason
+
+
 def test_not_choosable_produces_valid_counterexample():
     G, lam = MultipartiteGraph((3, 3)), Lambda((2,))
     v = is_choosable(G, lam)
