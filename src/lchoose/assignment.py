@@ -39,7 +39,7 @@ from operator import itemgetter
 from typing import Iterator
 
 from .budget import Budget
-from .graphs import ColourableSets, MultipartiteGraph, greedy_complements
+from .graphs import ColourableSets, MultipartiteGraph
 from .lam import Lambda, integers
 
 # explicit-group canonicalisation is meant for desk-scale instances
@@ -481,7 +481,7 @@ class AssignmentEnumerator:
     one OR per part, no solver runs and nothing is undone on backtrack.
     A child that finishes the last class is always entered, as its leaf test
     counts the orbit.  Any other child is cut when its family meets E(r - 1)
-    of ``greedy_complements`` (kept per class by the owed counters), r_v
+    (``ColourableSets.complements``, kept per class by the owed counters), r_v
     being the colours vertex v is still owed in this class and the later
     ones: colour W from the placed colours, then the rest greedily from
     fresh ones, of which v gets r_v - 1 or more short of the final colour.
@@ -536,10 +536,10 @@ class AssignmentEnumerator:
         # ``owed`` packs the current class's colours each vertex is still owed
         layers = sum(1 << j * n for j in range(quotas[0]))
         # a family holds the sets the placed colours can colour (EMPTY unpruned)
-        tables = ColourableSets(G).shares
-        # per class, E(r - 1) by the owed counters, r_v the colours v is still owed
-        complements, cuts = greedy_complements(G), [{} for _ in quotas]
-        later = [sum(quotas[ci + 1:]) - 1 for ci in range(len(quotas))]
+        sets = ColourableSets(G)
+        # per class, E(r - 1) by the owed counters and the later classes' colours less one
+        cuts, total = [{} for _ in quotas], sum(quotas)
+        later = [total - 1 - placed for placed in accumulate(quotas)]
         start = ()  # every class opens with this prefix; ``img is cls`` tests for it
 
         def grow(ci, done, cls, owed, family, gens, images, bound):
@@ -576,7 +576,7 @@ class AssignmentEnumerator:
             # a type without T leaves T owed, and every later type of the
             # class, capped by s < 2**T, lacks T too
             s, top = rem + 1, 1 << rem.bit_length() - 1
-            shares = tables(family, rem) if prune else ()  # one OR per part gives a child's family
+            shares = sets.shares(family, rem) if prune else ()  # one OR per part gives a child's family
             memo, last = cuts[ci], ci + 1 == len(quotas)
             while (s := (s - 1) & rem) >= top:
                 if s > ceiling or peaks[s] > lead:
@@ -593,7 +593,7 @@ class AssignmentEnumerator:
                 # lex-leader one, which cuts fewer children at more cost each
                 if prune and (left or not last):
                     if (cut := memo.get(nxt)) is None:
-                        cut = memo[nxt] = complements(
+                        cut = memo[nxt] = sets.complements(
                             [(nxt >> v & layers).bit_count() + later[ci] for v in range(n)])
                     if fam & cut:
                         continue

@@ -8,10 +8,10 @@ different parts, so the part vector is the whole graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial, reduce
+from functools import cache, cached_property, partial, reduce
 from itertools import accumulate
 from operator import or_
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .lam import integers
 
@@ -96,7 +96,17 @@ class ColourableSets:
         n = graph.n
         self.full = (1 << n) - 1
         self._part_masks = tuple(((1 << len(p)) - 1) << p.start for p in graph.parts)
-        self._without = subsets_without(n)
+        self._without = without = subsets_without(n)
+        every = (1 << (1 << n)) - 1
+        holding = [every ^ w for w in without]  # per vertex, the sets holding it
+        self._steps = []  # _steps[v][d]: v's peel step under demand d <= n, built once
+        for part in graph.parts:  # one table per part: its vertices share their neighbours
+            slices = [every]  # slices[j]: the sets that leave its vertices j neighbours outside
+            for u in filter(partial(graph.adjacent, part.start), range(n)):
+                slices = [a & ~without[u] | b & without[u] for a, b in zip(slices + [0], [0] + slices)]
+            # peels[d]: the sets that leave its vertices fewer than d neighbours outside
+            peels = [0, *accumulate(slices + [0] * (n - len(slices)), or_)]
+            self._steps += [[(holding[v], 1 << v, ok) for ok in peels] for v in part]
 
     def shares(self, family: int, rem: int) -> list[tuple[int, dict[int, int]]]:
         """Per part P meeting ``rem``, P's mask and its share table: per
@@ -118,36 +128,25 @@ class ColourableSets:
         shares = self.shares(family, type_mask)
         return reduce(or_, (table[type_mask & part] for part, table in shares), family)
 
-
-def greedy_complements(graph: MultipartiteGraph) -> Callable[[Sequence[int]], int]:
-    """Builder of E(f): per demand vector f, the 2**n-bit family of the vertex
-    sets W whose complement peels to nothing, removing while it can a vertex v
-    of the remainder U with ``f[v] > |U \\ P(v)|``.  Lists of ``f[v]`` colours
-    then colour V \\ W greedily in reverse order (Erdos, Rubin & Taylor 1979).
-    Peeling only lowers degrees, so its order is free: E(f) grows from {V} by
-    shift-and rounds, W joining once W + v has and v may peel from V \\ W."""
-    n = graph.n
-    without = subsets_without(n)
-    every = (1 << (1 << n)) - 1
-    ok = []  # ok[v][d]: the sets that leave v fewer than d neighbours outside, d <= n
-    for part in graph.parts:  # one table per part: its vertices share their neighbours
-        slices = [every]  # slices[j]: the sets that leave its vertices j neighbours outside
-        for u in filter(partial(graph.adjacent, part.start), range(n)):
-            slices = [a & ~without[u] | b & without[u] for a, b in zip(slices + [0], [0] + slices)]
-        ok += [[0, *accumulate(slices + [0] * (n - len(slices)), or_)]] * len(part)
-
-    def complements(f: Sequence[int]) -> int:
-        steps = [(every ^ without[v], 1 << v, ok[v][min(d, n)]) for v, d in enumerate(f) if d > 0]
-        family, grown = 0, 1 << (1 << n) - 1
+    def complements(self, f: Sequence[int]) -> int:
+        """E(f): per demand vector f, the family of the vertex sets W whose
+        complement peels to nothing, removing while it can a vertex v of the
+        remainder U with ``f[v] > |U \\ P(v)|``.  Lists of ``f[v]`` colours
+        then colour V \\ W greedily in reverse order (Erdos, Rubin & Taylor
+        1979).  Peeling only lowers degrees, so its order is free: E(f) grows
+        from {V} by shift-and rounds, W joining once W + v has and v may peel
+        from V \\ W."""
+        n = len(self._steps)
+        steps = [self._steps[v][min(d, n)] for v, d in enumerate(f) if d > 0]
+        family, grown = 0, 1 << self.full
         while grown != family:
             family = grown
             for has, shift, peels in steps:
                 grown |= (grown & has) >> shift & peels
         return family
 
-    return complements
 
-
+@cache
 def subsets_without(n: int) -> tuple[int, ...]:
     """Per element e < n, the 2**n-bit family of the subsets of range(n) that
     miss e, built by the 0x00FF -> 0x0F0F ladder."""

@@ -44,7 +44,6 @@ INCONCLUSIVE = "INCONCLUSIVE"
 # tables up to this many colours, the cover search above: at 20 colours the
 # k42 family takes 70-90 ms with tables and 2-5 ms without
 _TABLE_COLOURS = 16
-_sets_without = cache(subsets_without)  # at most 16 entries
 
 
 @dataclass(frozen=True)
@@ -249,7 +248,7 @@ def _table_search(graph: MultipartiteGraph, assignment: ListAssignment) -> Colou
     colours.  If all get one, each kept the later parts colourable, so it is
     the cover ``_ok_search``'s forward pass keeps; one with none falls back."""
     u = assignment.universe_size
-    without, layers = _sets_without(u), _layers(u)
+    without, layers = subsets_without(u), _layers(u)
     lists = [assignment.masks[part.start:part.stop] for part in graph.parts]
     families: dict[tuple[int, ...], int] = {}
     inside, chosen = (1 << (1 << u)) - 1, []  # the sets inside the free colours
@@ -266,7 +265,7 @@ def _table_search(graph: MultipartiteGraph, assignment: ListAssignment) -> Colou
 def _ok_search(lists: list[tuple[int, ...]], families: dict, u: int) -> Colouring | None:
     """The exact tables: no backtracking, since a part's cover is kept only
     when the rest of its free colours lie in ``ok`` of the parts after it."""
-    without = _sets_without(u)
+    without = subsets_without(u)
     for masks in set(lists) - families.keys():
         families[masks] = _covering_family(masks, without)
     covers = {masks: _table_covers(family, without) for masks, family in families.items()}
@@ -291,8 +290,9 @@ def _ok_search(lists: list[tuple[int, ...]], families: dict, u: int) -> Colourin
 def make_colourability_oracle(graph: MultipartiteGraph) -> Callable[[tuple[int, ...]], bool]:
     """Uncached predicate: do these list masks admit a proper colouring?
 
-    Folds each colour's type through ``ColourableSets.add``, the update the
-    orbit walk makes per placed colour, and reads the whole vertex set's bit.
+    Folds each colour's type through ``ColourableSets.add`` (the walk reads
+    the same per-part share tables, once per node) and reads the whole
+    vertex set's bit.
     The work is 2**n bits per colour, so this is for desk-scale graphs.
     """
     sets = ColourableSets(graph)

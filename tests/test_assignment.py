@@ -16,11 +16,12 @@ from lchoose.assignment import (
 )
 from lchoose.budget import Budget
 from lchoose.constructions import ThreesFamilyEnumerator
-from lchoose.graphs import MultipartiteGraph
+from lchoose.graphs import MultipartiteGraph, part_vectors
 from lchoose.lam import Lambda
 from lchoose.reduction import FourTuple
 
 from helpers import (
+    naive_colouring_exists,
     naive_orbit_keys,
     naive_witness_exists,
     random_blocks,
@@ -764,6 +765,34 @@ def test_unpruned_stream_pinned(sizes, parts, count, digest):
     keys = [canonical_key(la, G, lam, part) for la, part in enum]
     assert (len(keys), enum.orbits_seen, enum.truncated) == (count, count, False)
     assert hashlib.sha256(b"\n".join(keys)).hexdigest() == digest
+
+
+# the pruned walk against the unpruned one, no count pinned: every shape with
+# one part per unit of quota up to 5 vertices, the 6-vertex two-part shapes
+# for (2), and six shapes with more parts than quota, which hold most of the
+# counterexample orbits
+SOUNDNESS_CELLS = [
+    (sizes, parts)
+    for parts in ((2,), (1, 1), (3,), (1, 2), (1, 1, 1))
+    for n in range(sum(parts), 6)
+    for sizes in part_vectors(n, sum(parts))
+] + [(sizes, (2,)) for sizes in part_vectors(6, 2)] + [
+    ((2, 2, 1), (2,)), ((2, 2, 1), (1, 1)), ((4, 3), (2,)),
+    ((5, 2), (2,)), ((2, 1, 1, 1), (3,)), ((2, 1, 1, 1), (1, 2)),
+]
+
+
+@pytest.mark.parametrize("sizes, parts", SOUNDNESS_CELLS, ids=[
+    f"{','.join(map(str, sizes))}/{','.join(map(str, parts))}" for sizes, parts in SOUNDNESS_CELLS])
+def test_pruned_stream_is_the_unpruned_stream_less_colourable_items(sizes, parts):
+    # the lookahead and colourability cuts drop exactly the assignments that
+    # brute force colours, and keep the rest in the unpruned order
+    G, lam = MultipartiteGraph(sizes), Lambda(parts)
+    pruned = AssignmentEnumerator(G, lam, prune_colourable=True)
+    unpruned = AssignmentEnumerator(G, lam)
+    want = [(la, part) for la, part in unpruned if not naive_colouring_exists(G, la)]
+    assert list(pruned) == want
+    assert not pruned.truncated and not unpruned.truncated
 
 
 def test_enumerator_budget_truncates():

@@ -352,3 +352,14 @@ def test_budget_seconds_must_be_a_nonnegative_number(capsys, value):
                  ["phi", "-l", "2", "--search-up-to", "3", "--budget-seconds", value]):
         code, out = run(capsys, argv)
         assert code == 3 and out is None
+
+
+def test_many_quota_classes_set_up_in_linear_time(capsys):
+    # 100,000 classes of quota 2 on K(2,2): the walk's setup is one pass over
+    # the classes, and the root's children are all cut by the lookahead
+    start = time.perf_counter()
+    code, doc = run(capsys, ["check", "-g", "2,2", "-l", "2*100000", "--budget-seconds", "1"])
+    elapsed = time.perf_counter() - start
+    assert code == 0 and doc["status"] == "CHOOSABLE"
+    assert doc["exhaustive"] is True and doc["orbits_checked"] == 0
+    assert elapsed < 2.0

@@ -4,7 +4,7 @@ from itertools import combinations, combinations_with_replacement, product
 import pytest
 
 from lchoose.assignment import ListAssignment
-from lchoose.graphs import ColourableSets, MultipartiteGraph, greedy_complements, part_vectors
+from lchoose.graphs import ColourableSets, MultipartiteGraph, part_vectors
 
 from helpers import naive_colouring_exists, reference_add, reference_greedy_complements
 
@@ -115,7 +115,7 @@ def test_greedy_complements_match_the_reference_peel(n):
     rng = random.Random(n)
     for sizes in (s for k in range(1, n + 1) for s in part_vectors(n, k)):
         graph = MultipartiteGraph(sizes)
-        complements = greedy_complements(graph)
+        complements = ColourableSets(graph).complements
         demands = list(product(range(-1, 4), repeat=n)) if n <= 4 else [
             [rng.randint(-1, 3) for _ in range(n)] for _ in range(150)]
         for f in demands:
@@ -131,7 +131,7 @@ def test_greedy_complements_are_list_colourable():
         n = rng.randint(1, 5)
         graph = MultipartiteGraph(rng.choice([s for k in range(1, n + 1) for s in part_vectors(n, k)]))
         f = [rng.randint(0, 3) for _ in range(n)]
-        family = greedy_complements(graph)(f)
+        family = ColourableSets(graph).complements(f)
         for w in range(1 << n):
             rest = [v for v in range(n) if not w >> v & 1]
             if not family >> w & 1 or not rest:

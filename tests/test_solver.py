@@ -9,7 +9,7 @@ from lchoose.assignment import ListAssignment, is_lambda_assignment
 from lchoose.budget import Budget
 from lchoose.bundles import k42_block_sizes
 from lchoose.constructions import build_bad_k42, build_gadget, random_threes_candidate
-from lchoose.graphs import MultipartiteGraph, part_vectors
+from lchoose.graphs import MultipartiteGraph, part_vectors, subsets_without
 from lchoose.lam import Lambda
 from lchoose import solver
 from lchoose.solver import (
@@ -387,7 +387,7 @@ def test_minimal_covers_filter_by_free_colours():
         avail = rng.randint(0, full)
         cut = tuple(m & avail for m in masks)
         # the cover search's enumeration, and the minimal members of the tables
-        without = solver._sets_without(universe)
+        without = subsets_without(universe)
         table_covers = lambda ms: solver._table_covers(solver._covering_family(ms, without), without)
         for covers_of in (solver._minimal_covers, table_covers):
             covers = covers_of(masks)
@@ -418,7 +418,7 @@ def test_greedy_pick_is_the_first_minimal_cover_inside_the_free_colours():
         full = (1 << universe) - 1
         masks = tuple(rng.randint(1, full) for _ in range(rng.randint(1, 5)))
         free = rng.randint(0, full)
-        without = solver._sets_without(universe)
+        without = subsets_without(universe)
         family = solver._covering_family(masks, without)
         assert family == sum(1 << s for s in range(full + 1) if all(m & s for m in masks))
         inside = solver._missing((1 << (full + 1)) - 1, full & ~free, without)
