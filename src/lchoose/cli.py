@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+from itertools import groupby
 
 from .assignment import assignment_from_dict, assignment_to_dict
 from .budget import Budget
@@ -64,6 +65,17 @@ def _seconds(text: str) -> float:
     return value
 
 
+def _quotas(lam: Lambda) -> str:
+    """The quotas as ``Lambda.parse`` reads them, a run of m equal ones as
+    ``v*m`` where that is shorter (``str(lam)`` keys the bundle payloads)."""
+    tokens = []
+    for value, run in groupby(lam.parts):
+        count = len(list(run))
+        plain, star = ",".join([str(value)] * count), f"{value}*{count}"
+        tokens.append(star if len(star) < len(plain) else plain)
+    return ",".join(tokens)
+
+
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -75,7 +87,7 @@ def _cmd_phi(args) -> int:
                "bounds": None, "search": None}
     if lam.is_trivial:
         _emit(payload)
-        print(f"phi({lam}) is infinite: the all-singletons quota refutes nothing",
+        print(f"phi({_quotas(lam)}) is infinite: the all-singletons quota refutes nothing",
               file=sys.stderr)
         return 0
     from .lam import phi_bounds, phi_exact
@@ -91,7 +103,7 @@ def _cmd_phi(args) -> int:
         if report.minimum is None and not report.exact:
             code = 2
     _emit(payload)
-    print(f"phi({lam}) = {exact}, proven bounds [{lo}, {hi}]", file=sys.stderr)
+    print(f"phi({_quotas(lam)}) = {exact}, proven bounds [{lo}, {hi}]", file=sys.stderr)
     return code
 
 
@@ -131,10 +143,11 @@ def _cmd_check(args) -> int:
     }
     _emit(payload)
     if verdict.status == CHOOSABLE:
-        print(f"{graph} is {lam}-choosable ({verdict.reason or 'exhaustive'})", file=sys.stderr)
+        print(f"{graph} is {_quotas(lam)}-choosable ({verdict.reason or 'exhaustive'})",
+              file=sys.stderr)
         return 0
     if verdict.status == NOT_CHOOSABLE:
-        print(f"{graph} is not {lam}-choosable; counterexample attached", file=sys.stderr)
+        print(f"{graph} is not {_quotas(lam)}-choosable; counterexample attached", file=sys.stderr)
         return 1
     print(f"inconclusive: {verdict.reason}", file=sys.stderr)
     return 2

@@ -12,7 +12,9 @@ decide the rest: the subset DP of ``ColourableSets`` run over the 2**u
 colour sets (Bjorklund, Husfeldt & Koivisto, SIAM J. Comput. 2009), each
 family one 2**u-bit integer.  A greedy pass gives each part its least
 covering set inside the free colours, by (popcount, value): its first
-minimal cover there.  If all get one, each left the later parts colourable.
+minimal cover there.  If its lists share a free colour, that is the lowest
+such colour, with no table read: the one-colour covers are the shared colours,
+and no cover is smaller.  If all get one, each left the later parts colourable.
 Only a stuck pass takes minimal covers: ``ok[i]``, the free sets from which
 parts i.. can be coloured, is the OR over part i's minimal covers x of
 ``(ok[i+1] & sets_disjoint_from(x)) << x``, the last part's ``ok`` being its
@@ -246,19 +248,31 @@ def _table_covers(family: int, without: tuple[int, ...]) -> list[int]:
 def _table_search(graph: MultipartiteGraph, assignment: ListAssignment) -> Colouring | None:
     """Greedy first: each part takes its least covering set inside the free
     colours.  If all get one, each kept the later parts colourable, so it is
-    the cover ``_ok_search``'s forward pass keeps; one with none falls back."""
+    the cover ``_ok_search``'s forward pass keeps; one with none falls back.
+    A part whose lists share a free colour takes the lowest, no table read:
+    the covers of one colour are the shared ones, and they come first in
+    (popcount, value) order."""
     u = assignment.universe_size
     without, layers = subsets_without(u), _layers(u)
     lists = [assignment.masks[part.start:part.stop] for part in graph.parts]
     families: dict[tuple[int, ...], int] = {}
-    inside, chosen = (1 << (1 << u)) - 1, []  # the sets inside the free colours
+    free, taken, chosen = (1 << u) - 1, 0, []
+    inside = (1 << (1 << u)) - 1  # the sets inside the free colours once ``taken`` is folded in
     for masks in lists:
-        if masks not in families:
-            families[masks] = _covering_family(masks, without)
-        if (x := _least(families[masks] & inside, layers)) is None:
-            return _ok_search(lists, families, u)
+        shared = free
+        for m in masks:
+            shared &= m
+        if shared:
+            x = shared & -shared
+        else:
+            if masks not in families:
+                families[masks] = _covering_family(masks, without)
+            inside, taken = _missing(inside, taken, without), 0
+            if (x := _least(families[masks] & inside, layers)) is None:
+                return _ok_search(lists, families, u)
         chosen.append(x)
-        inside = _missing(inside, x, without)
+        free &= ~x
+        taken |= x
     return _paint(lists, chosen)
 
 

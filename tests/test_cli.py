@@ -363,3 +363,19 @@ def test_many_quota_classes_set_up_in_linear_time(capsys):
     assert code == 0 and doc["status"] == "CHOOSABLE"
     assert doc["exhaustive"] is True and doc["orbits_checked"] == 0
     assert elapsed < 2.0
+
+
+def test_summaries_spell_runs_of_equal_quotas(capsys):
+    # stderr spells a run of equal quotas as v*m where that is shorter; the
+    # payload's lambda field still lists every part
+    assert main(["check", "-g", "2,2", "-l", "2*100000", "--budget-seconds", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "2,2 is 2*100000-choosable (exhaustive)\n"
+    assert len(captured.err) < 1024
+    assert json.loads(captured.out)["lambda"] == [2] * 100000
+    assert main(["check", "-g", "3,3", "-l", "2"]) == 1
+    assert capsys.readouterr().err == "3,3 is not 2-choosable; counterexample attached\n"
+    assert main(["phi", "-l", "3,1,1,1,2,2"]) == 0
+    assert capsys.readouterr().err.startswith("phi(1*3,2,2,3) = ")
+    assert main(["phi", "-l", "1*4"]) == 0
+    assert capsys.readouterr().err.startswith("phi(1*4) is infinite")

@@ -493,3 +493,35 @@ def test_a_thousand_single_vertex_parts_are_coloured():
     graph = MultipartiteGraph((1,) * n)
     la = ListAssignment(n, ((1 << n) - 1,) * n)
     assert find_colouring(graph, la).colour_of == tuple(range(n))
+
+
+def test_a_shared_free_colour_is_taken_without_the_tables(monkeypatch):
+    # a part whose lists share a free colour takes the lowest as its cover
+    # and builds no covering family; a part whose shared colours are all
+    # taken reads the tables, which must see every colour taken before it
+    built = []
+    covering_family = solver._covering_family
+
+    def counted(masks, without):
+        built.append(masks)
+        return covering_family(masks, without)
+
+    monkeypatch.setattr(solver, "_covering_family", counted)
+    # every part shares a free colour: 0, then 1, then 2
+    graph, la = MultipartiteGraph((2, 2, 1)), ListAssignment(3, (0b011, 0b001, 0b110, 0b010, 0b100))
+    assert solver._table_search(graph, la).colour_of == (0, 0, 1, 1, 2)
+    assert built == []
+    cases = [
+        # the first part takes colour 0, the only one the second part's lists share
+        (MultipartiteGraph((2, 2)), ListAssignment(3, (0b001, 0b011, 0b011, 0b101)), (0, 0, 1, 2)),
+        # two shared colours are taken before the third part reads the tables,
+        # whose least covering set overall, {0, 1}, is no longer free
+        (MultipartiteGraph((2, 2, 2, 1)),
+         ListAssignment(5, (0b00001, 0b00011, 0b00010, 0b00110, 0b00101, 0b01010, 0b10000)),
+         (0, 0, 1, 1, 2, 3, 4)),
+    ]
+    for graph, la, colour_of in cases:
+        built.clear()
+        got = solver._table_search(graph, la)
+        assert len(built) == 1
+        assert got.colour_of == colour_of and got == reference_table_search(graph, la)
