@@ -7,29 +7,28 @@ part's set, with each vertex picking from its own list: each part in turn
 takes an inclusion-minimal cover of its lists.  A part with lists inside a
 colour set X needs one colour of X, or two if those lists share none
 (Hall's condition, deficiency form), so parts needing more than all the
-colours are refused at once.  Up to ``_TABLE_COLOURS`` colours, exact tables
-decide the rest: the subset DP of ``ColourableSets`` run over the 2**u
-colour sets (Bjorklund, Husfeldt & Koivisto, SIAM J. Comput. 2009), each
-family one 2**u-bit integer.  A greedy pass gives each part its least
-covering set inside the free colours, by (popcount, value): its first
-minimal cover there.  If its lists share a free colour, that is the lowest
-such colour, with no table read: the one-colour covers are the shared colours,
-and no cover is smaller.  If all get one, each left the later parts colourable.
-Only a stuck pass takes minimal covers: ``ok[i]``, the free sets from which
-parts i.. can be coloured, is the OR over part i's minimal covers x of
-``(ok[i+1] & sets_disjoint_from(x)) << x``, the last part's ``ok`` being its
-covering family, and a forward pass takes each part's first cover with the
-rest of its free colours in ``ok[i+1]``.  Above that the 2**u-bit tables
-cost more than a depth-first search over minimal covers.  A part's covers
-are enumerated once per call and each node keeps those inside its free
-colours, which are exactly the covers of the lists cut to them; a node whose
-parts need more colours of some X than X holds fails unbranched.
+colours are refused at once.  A greedy pass then gives each part its first
+minimal cover inside the free colours: the lowest shared free colour if its
+lists share one (the one-colour covers are the shared colours, and no cover
+is smaller), else the first of its minimal covers there, built once per
+call.  If all get one, each left the later parts colourable.  A part with
+none hands those covers to one of two exact fallbacks.  Up to
+``_TABLE_COLOURS`` colours, tables: the subset DP of ``ColourableSets`` run
+over the 2**u colour sets (Bjorklund, Husfeldt & Koivisto, SIAM J. Comput.
+2009), each family one 2**u-bit integer.  ``ok[i]``, the free sets from
+which parts i.. can be coloured, is the OR over part i's minimal covers x
+of ``(ok[i+1] & sets_disjoint_from(x)) << x``, the last part's ``ok`` being
+its covering family, and a forward pass takes each part's first cover with
+the rest of its free colours in ``ok[i+1]``.  Above that the 2**u-bit
+tables cost more than a depth-first search over minimal covers.  Each node
+keeps the covers inside its free colours, which are exactly the covers of
+the lists cut to them; a node whose parts need more colours of some X than
+X holds fails unbranched.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from typing import Callable
 
 from .assignment import (
@@ -43,8 +42,9 @@ CHOOSABLE = "CHOOSABLE"
 NOT_CHOOSABLE = "NOT_CHOOSABLE"
 INCONCLUSIVE = "INCONCLUSIVE"
 
-# tables up to this many colours, the cover search above: at 20 colours the
-# k42 family takes 70-90 ms with tables and 2-5 ms without
+# covers and fallback from tables up to this many colours, from the cover
+# search above: at 20 colours the k42 family takes 70-90 ms with tables and
+# 2-5 ms without
 _TABLE_COLOURS = 16
 
 
@@ -143,17 +143,37 @@ def find_colouring(graph: MultipartiteGraph, assignment: ListAssignment) -> Colo
     Deterministic: parts are taken largest first, as the graph sorts them,
     and each takes its first minimal cover in (size, value) order that leaves
     the later parts colourable; each vertex takes its least colour in the
-    cover.  Both paths find this colouring: the search's colour count cuts
-    only failing subtrees, and a search subtree succeeds exactly when its
-    free colours lie in the table of the parts after it.
+    cover.  The greedy pass gives each part its first minimal cover inside
+    the free colours; if every part gets one, each left the later parts
+    colourable, so this is that colouring.  A part with none hands the
+    covers built so far to one fallback, chosen by the universe size, and
+    both find the colouring: the search's colour count cuts only failing
+    subtrees, and a search subtree succeeds exactly when its free colours
+    lie in the table of the parts after it.
     """
     if assignment.n != graph.n:
         raise ValueError("assignment and graph disagree on the vertex count")
     u = assignment.universe_size
-    if _colours_needed([assignment.masks[p.start:p.stop] for p in graph.parts], (1 << u) - 1) > u:
+    lists = [assignment.masks[part.start:part.stop] for part in graph.parts]
+    if _colours_needed(lists, (1 << u) - 1) > u:
         return None
-    search = _table_search if u <= _TABLE_COLOURS else _cover_search
-    return search(graph, assignment)
+    tables = u <= _TABLE_COLOURS
+    covers: dict[tuple[int, ...], list[int]] = {}  # per part's lists, uncut
+    free, chosen = (1 << u) - 1, []
+    for masks in lists:
+        shared = free
+        for m in masks:
+            shared &= m
+        if shared:  # the one-colour covers are the shared colours, and come first
+            x = shared & -shared
+        else:
+            if masks not in covers:
+                covers[masks] = _table_covers(masks, u) if tables else _minimal_covers(masks)
+            if (x := next((c for c in covers[masks] if not c & ~free), None)) is None:
+                return (_ok_search if tables else _cover_search)(lists, covers, u)
+        chosen.append(x)
+        free &= ~x
+    return _paint(lists, chosen)
 
 
 def _paint(lists: list[tuple[int, ...]], chosen: list[int]) -> Colouring:
@@ -163,17 +183,15 @@ def _paint(lists: list[tuple[int, ...]], chosen: list[int]) -> Colouring:
                             for masks, cover in zip(lists, chosen) for m in masks]))
 
 
-def _cover_search(graph: MultipartiteGraph, assignment: ListAssignment) -> Colouring | None:
+def _cover_search(lists: list[tuple[int, ...]], covers: dict, u: int) -> Colouring | None:
     """The depth-first cover search.  While two or more parts remain, a node
     fails if some X (its free colours, or one list cut to them) is short of
     colours.  Sound: parts take disjoint colour sets, and a part with one
     colour c in X gives c to each vertex whose list lies in X."""
-    lists = [assignment.masks[part.start:part.stop] for part in graph.parts]
     chosen = [0] * len(lists)
     memo_fail: set[tuple[int, int]] = set()
-    covers: dict[tuple[int, ...], list[int]] = {}  # per part's lists, uncut
     path = []  # per part on the path: its free colours and covers left (no frame per part)
-    avail = (1 << assignment.universe_size) - 1
+    avail = (1 << u) - 1
     while (pi := len(path)) < len(lists):
         if (pi, avail) in memo_fail or pi + 1 < len(lists) and _short_of_colours(lists[pi:], avail):
             memo_fail.add((pi, avail))
@@ -196,17 +214,6 @@ def _cover_search(graph: MultipartiteGraph, assignment: ListAssignment) -> Colou
     return _paint(lists, chosen)
 
 
-@cache
-def _layers(u: int) -> tuple[int, ...]:
-    """Per popcount k, the 2**u-bit table of the colour sets of k colours:
-    a set holding colour c is one without it shifted up by 2**c."""
-    layers = [1] + [0] * u
-    for c in range(u):
-        for k in range(c + 1, 0, -1):
-            layers[k] |= layers[k - 1] << (1 << c)
-    return tuple(layers)
-
-
 def _missing(sets: int, x: int, without: tuple[int, ...]) -> int:
     """The members of the family ``sets`` that miss every colour of x."""
     while x:
@@ -223,17 +230,11 @@ def _covering_family(masks: tuple[int, ...], without: tuple[int, ...]) -> int:
     return family
 
 
-def _least(sets: int, layers: tuple[int, ...]) -> int | None:
-    """The least member of a family in (popcount, value) order, or None."""
-    for layer in layers:
-        if hit := sets & layer:
-            return (hit & -hit).bit_length() - 1
-    return None
-
-
-def _table_covers(family: int, without: tuple[int, ...]) -> list[int]:
-    """Minimal covers in ``_minimal_covers``' order: the members of the
-    covering family ``family`` none one colour smaller."""
+def _table_covers(masks: tuple[int, ...], u: int) -> list[int]:
+    """``_minimal_covers(masks)`` off the tables: the members of the covering
+    family none one colour smaller, in (popcount, value) order."""
+    without = subsets_without(u)
+    family = _covering_family(masks, without)
     above = 0
     for c, sets in enumerate(without):
         above |= (family & sets) << (1 << c)
@@ -245,45 +246,13 @@ def _table_covers(family: int, without: tuple[int, ...]) -> list[int]:
     return sorted(minimal, key=int.bit_count)
 
 
-def _table_search(graph: MultipartiteGraph, assignment: ListAssignment) -> Colouring | None:
-    """Greedy first: each part takes its least covering set inside the free
-    colours.  If all get one, each kept the later parts colourable, so it is
-    the cover ``_ok_search``'s forward pass keeps; one with none falls back.
-    A part whose lists share a free colour takes the lowest, no table read:
-    the covers of one colour are the shared ones, and they come first in
-    (popcount, value) order."""
-    u = assignment.universe_size
-    without, layers = subsets_without(u), _layers(u)
-    lists = [assignment.masks[part.start:part.stop] for part in graph.parts]
-    families: dict[tuple[int, ...], int] = {}
-    free, taken, chosen = (1 << u) - 1, 0, []
-    inside = (1 << (1 << u)) - 1  # the sets inside the free colours once ``taken`` is folded in
-    for masks in lists:
-        shared = free
-        for m in masks:
-            shared &= m
-        if shared:
-            x = shared & -shared
-        else:
-            if masks not in families:
-                families[masks] = _covering_family(masks, without)
-            inside, taken = _missing(inside, taken, without), 0
-            if (x := _least(families[masks] & inside, layers)) is None:
-                return _ok_search(lists, families, u)
-        chosen.append(x)
-        free &= ~x
-        taken |= x
-    return _paint(lists, chosen)
-
-
-def _ok_search(lists: list[tuple[int, ...]], families: dict, u: int) -> Colouring | None:
+def _ok_search(lists: list[tuple[int, ...]], covers: dict, u: int) -> Colouring | None:
     """The exact tables: no backtracking, since a part's cover is kept only
     when the rest of its free colours lie in ``ok`` of the parts after it."""
     without = subsets_without(u)
-    for masks in set(lists) - families.keys():
-        families[masks] = _covering_family(masks, without)
-    covers = {masks: _table_covers(family, without) for masks, family in families.items()}
-    ok = [0] * (len(lists) - 1) + [families[lists[-1]], (1 << (1 << u)) - 1]  # last: its family
+    for masks in set(lists) - covers.keys():
+        covers[masks] = _table_covers(masks, u)
+    ok = [0] * (len(lists) - 1) + [_covering_family(lists[-1], without), (1 << (1 << u)) - 1]
     for i in reversed(range(len(lists) - 1)):
         later = ok[i + 1]
         for x in covers[lists[i]]:
@@ -330,7 +299,7 @@ def is_choosable(
     Exact assignments are enough: any assignment meeting the quotas can be
     trimmed to an exact one, and trimming cannot create colourings.  The
     enumerator prunes colourable partial states without a solver call, so
-    any assignment it yields is a genuine counterexample; the cover search
+    any assignment it yields is a genuine counterexample; ``find_colouring``
     re-checks it here regardless.  Shapes whose vertex group is too large
     for the walk's canonical forms are INCONCLUSIVE before it starts, unless
     every part peels, largest first, while ``lam.total`` exceeds the vertices

@@ -9,7 +9,7 @@ from lchoose.assignment import ListAssignment, is_lambda_assignment
 from lchoose.budget import Budget
 from lchoose.bundles import k42_block_sizes
 from lchoose.constructions import build_bad_k42, build_gadget, random_threes_candidate
-from lchoose.graphs import MultipartiteGraph, part_vectors, subsets_without
+from lchoose.graphs import MultipartiteGraph, part_vectors
 from lchoose.lam import Lambda
 from lchoose import solver
 from lchoose.solver import (
@@ -223,9 +223,13 @@ def test_first_colouring_pinned():
     assert digest == "d0e4d45f05cda10a9f38ca13c5c39c8b1e01ebbd4ad476a4109978f0b2e1fc7e"
 
 
+def _part_lists(graph, la):
+    return [la.masks[part.start:part.stop] for part in graph.parts]
+
+
 def test_tables_and_cover_search_give_the_same_first_colouring():
     # a search subtree succeeds exactly when its free colours lie in the
-    # table of the parts below it, so both paths take the same covers
+    # table of the parts below it, so both fallbacks take the same covers
     cases = [
         (graph, la) for graph, la in _pinned_colouring_cases()
         if la.universe_size <= solver._TABLE_COLOURS
@@ -234,8 +238,9 @@ def test_tables_and_cover_search_give_the_same_first_colouring():
     assert all((g.graph, g.assignment) in cases for g in gadgets)
     assert max(la.universe_size for _, la in cases) == solver._TABLE_COLOURS
     for graph, la in cases:
-        got = solver._table_search(graph, la)
-        assert got == solver._cover_search(graph, la), (graph, la)
+        lists, u = _part_lists(graph, la), la.universe_size
+        got = solver._ok_search(lists, {}, u)
+        assert got == solver._cover_search(lists, {}, u), (graph, la)
         if got is not None:
             check_proper(graph, la, got)
 
@@ -260,8 +265,8 @@ def _table_rule_boundary_cases(seed: int, count: int):
 
 
 def test_table_rule_boundary_agrees_with_subset_dp():
-    # 16 colours take the tables and 17 the cover search; the vertex-set
-    # subset DP shares no code with either
+    # a stuck greedy pass falls back to the tables at 16 colours and to the
+    # cover search at 17; the vertex-set subset DP shares no code with either
     outcomes = {}
     for graph, la in _table_rule_boundary_cases(seed=1617, count=200):
         got = find_colouring(graph, la)
@@ -272,29 +277,42 @@ def test_table_rule_boundary_agrees_with_subset_dp():
     assert outcomes == {16: {False, True}, 17: {False, True}}
 
 
-def test_table_rule_picks_the_path_by_universe_size(monkeypatch):
-    # one search per call, chosen by the universe size alone
+def _trace_fallbacks(monkeypatch):
+    """Record the name of each fallback that find_colouring calls."""
     taken = []
 
     def traced(name, search):
-        def run(graph, la):
+        def run(lists, covers, u):
             taken.append(name)
-            return search(graph, la)
+            return search(lists, covers, u)
         return run
 
-    for name in ("_table_search", "_cover_search"):
+    for name in ("_ok_search", "_cover_search"):
         monkeypatch.setattr(solver, name, traced(name, getattr(solver, name)))
-    for graph, la in _table_rule_boundary_cases(seed=1617, count=20):
-        find_colouring(graph, la)
-        tables = la.universe_size <= solver._TABLE_COLOURS
-        assert taken == ["_table_search" if tables else "_cover_search"]
+    return taken
+
+
+def test_greedy_front_falls_back_by_universe_size(monkeypatch):
+    # the greedy pass runs at every size; a stuck one calls one fallback,
+    # chosen by the universe size alone, and above the table rule the pass
+    # gives the cover search's own first colouring
+    taken = _trace_fallbacks(monkeypatch)
+    greedy_17 = 0
+    for graph, la in _table_rule_boundary_cases(seed=1617, count=200):
         taken.clear()
+        got = find_colouring(graph, la)
+        tables = la.universe_size <= solver._TABLE_COLOURS
+        assert taken in ([], ["_ok_search" if tables else "_cover_search"]), (graph, la)
+        if not tables:
+            greedy_17 += not taken and got is not None
+            assert got == solver._cover_search(_part_lists(graph, la), {}, la.universe_size)
+    assert greedy_17 > 0
 
 
 def test_colour_count_agrees_with_subset_dp(monkeypatch):
     # where the colour-counting bound cuts nodes, the cover search must still
     # agree with the subset DP, which shares no code with it; these universes
-    # take the tables in find_colouring, so the search is called directly
+    # fall back to the tables in find_colouring, so the search is called directly
     cut = []
     count = solver._short_of_colours
 
@@ -311,7 +329,7 @@ def test_colour_count_agrees_with_subset_dp(monkeypatch):
         if graph not in oracles:
             oracles[graph] = make_colourability_oracle(graph)
         cut.clear()
-        got = solver._cover_search(graph, la)
+        got = solver._cover_search(_part_lists(graph, la), {}, la.universe_size)
         cases_cut += any(cut)
         assert (got is not None) is oracles[graph](la.masks), (graph, la)
         if got is not None:
@@ -323,28 +341,19 @@ def test_colour_count_agrees_with_subset_dp(monkeypatch):
 
 def test_root_colour_count_refuses_only_non_colourable_lists(monkeypatch):
     # find_colouring refuses without a search when the parts need more than
-    # all the colours; the vertex-set subset DP, which shares no code with
-    # it, must agree on every refusal, and some refusals must rest on parts
-    # that need two colours (no more parts than colours)
-    searched = []
-
-    def traced(search):
-        def run(graph, la):
-            searched.append(search)
-            return search(graph, la)
-        return run
-
-    for name in ("_table_search", "_cover_search"):
-        monkeypatch.setattr(solver, name, traced(getattr(solver, name)))
+    # all the colours: a None with no fallback call, since the greedy pass
+    # returns None only through one; the vertex-set subset DP, which shares
+    # no code with it, must agree on every refusal, and some refusals must
+    # rest on parts that need two colours (no more parts than colours)
+    searched = _trace_fallbacks(monkeypatch)
     cases = chain(colouring_random_corpus(seed=777), half_list_corpus(seed=11, count=400),
                   _table_rule_boundary_cases(seed=1617, count=200))
     oracles, refused, by_pairs = {}, 0, 0
     for graph, la in cases:
         searched.clear()
         got = find_colouring(graph, la)
-        if searched:
+        if searched or got is not None:
             continue
-        assert got is None, (graph, la)
         if graph not in oracles:
             oracles[graph] = make_colourability_oracle(graph)
         assert not oracles[graph](la.masks), (graph, la)
@@ -387,8 +396,7 @@ def test_minimal_covers_filter_by_free_colours():
         avail = rng.randint(0, full)
         cut = tuple(m & avail for m in masks)
         # the cover search's enumeration, and the minimal members of the tables
-        without = subsets_without(universe)
-        table_covers = lambda ms: solver._table_covers(solver._covering_family(ms, without), without)
+        table_covers = lambda ms: solver._table_covers(ms, universe)
         for covers_of in (solver._minimal_covers, table_covers):
             covers = covers_of(masks)
             if universe <= 8:
@@ -399,36 +407,6 @@ def test_minimal_covers_filter_by_free_colours():
             else:
                 assert not [c for c in covers if not c & ~avail]
     assert checked > 2000
-
-
-def test_layer_tables_split_the_sets_by_popcount():
-    for u in range(11):
-        assert solver._layers(u) == tuple(
-            sum(1 << s for s in range(1 << u) if s.bit_count() == k) for k in range(u + 1)
-        )
-
-
-def test_greedy_pick_is_the_first_minimal_cover_inside_the_free_colours():
-    # the least covering set inside the free colours, read off the family and
-    # the layer tables, is the first minimal cover there, or there is none
-    rng = random.Random(909)
-    found = missed = 0
-    for _ in range(2000):
-        universe = rng.randint(1, 10)
-        full = (1 << universe) - 1
-        masks = tuple(rng.randint(1, full) for _ in range(rng.randint(1, 5)))
-        free = rng.randint(0, full)
-        without = subsets_without(universe)
-        family = solver._covering_family(masks, without)
-        assert family == sum(1 << s for s in range(full + 1) if all(m & s for m in masks))
-        inside = solver._missing((1 << (full + 1)) - 1, full & ~free, without)
-        assert inside == sum(1 << s for s in range(full + 1) if not s & ~free)
-        pick = solver._least(family & inside, solver._layers(universe))
-        first = next((c for c in solver._minimal_covers(masks) if not c & ~free), None)
-        assert pick == first, (masks, free)
-        found += first is not None
-        missed += first is None
-    assert found > 500 and missed > 500
 
 
 @pytest.mark.parametrize("sizes", [(3, 2, 1), (1, 3, 1), (1, 0, 3)])
@@ -453,12 +431,14 @@ def test_larger_gadgets_are_refuted(sizes, monkeypatch):
 def test_greedy_pass_gives_the_frozen_tables_colouring(monkeypatch):
     # a greedy pass that gives every part a cover inside its free colours
     # keeps the covers the tables' forward pass keeps; a stuck one must fall
-    # back to the tables, whether the lists are colourable or not
+    # back to the tables, whether the lists are colourable or not; the root
+    # colour count is turned off, so lists it would refuse reach the tables
+    monkeypatch.setattr(solver, "_colours_needed", lambda lists, x: 0)
     fallbacks = []
     ok_search = solver._ok_search
 
-    def counted(lists, tables, u):
-        got = ok_search(lists, tables, u)
+    def counted(lists, covers, u):
+        got = ok_search(lists, covers, u)
         fallbacks.append(got is not None)
         return got
 
@@ -469,7 +449,7 @@ def test_greedy_pass_gives_the_frozen_tables_colouring(monkeypatch):
         if la.universe_size > solver._TABLE_COLOURS:
             continue
         stuck = len(fallbacks)
-        got = solver._table_search(graph, la)
+        got = find_colouring(graph, la)
         assert got == reference_table_search(graph, la), (graph, la)
         if len(fallbacks) == stuck:
             assert got is not None
@@ -497,31 +477,42 @@ def test_a_thousand_single_vertex_parts_are_coloured():
 
 def test_a_shared_free_colour_is_taken_without_the_tables(monkeypatch):
     # a part whose lists share a free colour takes the lowest as its cover
-    # and builds no covering family; a part whose shared colours are all
-    # taken reads the tables, which must see every colour taken before it
+    # and builds no covers; a part whose shared colours are all taken builds
+    # its covers and takes the first inside the free colours
     built = []
-    covering_family = solver._covering_family
+    table_covers = solver._table_covers
 
-    def counted(masks, without):
+    def counted(masks, u):
         built.append(masks)
-        return covering_family(masks, without)
+        return table_covers(masks, u)
 
-    monkeypatch.setattr(solver, "_covering_family", counted)
+    monkeypatch.setattr(solver, "_table_covers", counted)
     # every part shares a free colour: 0, then 1, then 2
     graph, la = MultipartiteGraph((2, 2, 1)), ListAssignment(3, (0b011, 0b001, 0b110, 0b010, 0b100))
-    assert solver._table_search(graph, la).colour_of == (0, 0, 1, 1, 2)
+    assert find_colouring(graph, la).colour_of == (0, 0, 1, 1, 2)
     assert built == []
     cases = [
         # the first part takes colour 0, the only one the second part's lists share
         (MultipartiteGraph((2, 2)), ListAssignment(3, (0b001, 0b011, 0b011, 0b101)), (0, 0, 1, 2)),
-        # two shared colours are taken before the third part reads the tables,
-        # whose least covering set overall, {0, 1}, is no longer free
+        # two shared colours are taken before the third part builds its covers,
+        # whose first, {0, 1}, is no longer free
         (MultipartiteGraph((2, 2, 2, 1)),
          ListAssignment(5, (0b00001, 0b00011, 0b00010, 0b00110, 0b00101, 0b01010, 0b10000)),
          (0, 0, 1, 1, 2, 3, 4)),
     ]
     for graph, la, colour_of in cases:
         built.clear()
-        got = solver._table_search(graph, la)
+        got = find_colouring(graph, la)
         assert len(built) == 1
         assert got.colour_of == colour_of and got == reference_table_search(graph, la)
+
+
+def test_single_colour_parts_take_no_cover_search(monkeypatch):
+    # 400 single-vertex parts, vertex i listing only colour i: each part's
+    # list is its shared free colour, so the greedy pass colours them all
+    # and the cover search, whose colour count is cubic here, never runs
+    taken = _trace_fallbacks(monkeypatch)
+    n = 400
+    la = ListAssignment(n, tuple(1 << i for i in range(n)))
+    assert find_colouring(MultipartiteGraph((1,) * n), la).colour_of == tuple(range(n))
+    assert taken == []
