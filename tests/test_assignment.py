@@ -43,6 +43,8 @@ def test_list_assignment_validation():
         ListAssignment(3, (1, 2))  # colour 2 unused
     with pytest.raises(ValueError):
         ListAssignment(0, ())
+    with pytest.raises(ValueError, match="at least one vertex"):
+        ListAssignment(1, ())
 
 
 def test_from_lists_round_trip():
@@ -67,6 +69,8 @@ def test_quota_counts():
     la = ListAssignment.from_lists(3, [[0, 1, 2], [0, 2]])
     part = ColourPartition(lam, (0, 1, 1))
     assert quota_counts(la, part) == [[1, 2], [1, 1]]
+    with pytest.raises(ValueError, match="partition universe does not match"):
+        quota_counts(la, ColourPartition(lam, (0, 1)))
 
 
 def random_assignment(rng, n, universe):
@@ -437,6 +441,8 @@ def test_canonical_key_rejects_inexact():
     la = ListAssignment.from_lists(2, [[0, 1], [0]])
     with pytest.raises(ValueError):
         canonical_key(la, G, lam, ColourPartition(lam, (0, 0)))
+    with pytest.raises(ValueError, match="disagree on the vertex count"):
+        canonical_key(la, MultipartiteGraph((1, 1, 1)), lam, ColourPartition(lam, (0, 0)))
 
 
 @pytest.mark.parametrize("lists, lam, built_for, classes", [
@@ -868,6 +874,12 @@ def test_dict_round_trip():
 def test_dict_rejects_malformed(doc):
     with pytest.raises(ValueError):
         assignment_from_dict(doc)
+
+
+@pytest.mark.parametrize("lists", [5, {"0": [0], "1": [1]}, "01"])
+def test_dict_rejects_lists_that_are_not_an_array(lists):
+    with pytest.raises(ValueError, match="lists must be an array of arrays"):
+        assignment_from_dict({"universe": 2, "lists": lists})
 
 
 @pytest.mark.parametrize(

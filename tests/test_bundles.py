@@ -42,6 +42,24 @@ def test_lemma1_bundle():
     assert all(row["colourable"] is False for row in payload["instances"])
 
 
+def test_lemma1_bundle_reports_a_structure_error_as_a_failed_row(monkeypatch):
+    import lchoose.bundles as bundles
+
+    real = bundles.verify_gadget
+
+    def verify(inst):
+        if inst.lam.parts == (1, 2, 3):
+            raise bundles.StructureError("tampered")
+        return real(inst)
+
+    monkeypatch.setattr(bundles, "verify_gadget", verify)
+    payload = bundle_lemma1_grid()
+    assert payload["ok"] is False and payload["inconclusive"] is False
+    assert [row["ok"] for row in payload["instances"]] == [True, False, True]
+    assert payload["instances"][1] == {"ones": 1, "twos": 1, "threes": 1, "lambda": [1, 2, 3],
+                                       "ok": False, "error": "tampered"}
+
+
 def test_parity_bundle_budgeted():
     # a small budget truncates the miss-vector slice but must not break
     # anything that was actually examined
@@ -60,6 +78,20 @@ def test_tuple_audit_bundle():
     assert payload["ok"] is True
     assert payload["finder_cases"] == 2 * 7**4
     assert payload["finder_mismatches"] == []
+    assert all(cell["ok"] for cell in payload["recipe_cells"])
+
+
+def test_tuple_audit_reports_a_finder_mismatch(monkeypatch):
+    import lchoose.bundles as bundles
+
+    real = bundles.find_reducible_4tuple
+    monkeypatch.setattr(bundles, "find_reducible_4tuple",
+                        lambda caps, target: None if (caps, target) == ((6, 6, 6, 6), 3)
+                        else real(caps, target))
+    payload = bundle_tuple_audit()
+    assert payload["ok"] is False and payload["inconclusive"] is False
+    assert payload["finder_cases"] == 2 * 7**4
+    assert payload["finder_mismatches"] == [{"target": 3, "caps": [6, 6, 6, 6]}]
     assert all(cell["ok"] for cell in payload["recipe_cells"])
 
 

@@ -262,6 +262,26 @@ def test_verify_unknown_bundle(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("extra, code, summary", [
+    ({"inconclusive": True}, 2, "bundle tuple-audit: inconclusive (budget)"),
+    ({"inconclusive": False}, 1, "bundle tuple-audit: FAILED"),
+    ({}, 1, "bundle tuple-audit: FAILED"),
+])
+def test_verify_exit_codes_of_a_failed_bundle(capsys, monkeypatch, extra, code, summary):
+    # a stub bundle result, so no walk count decides which path is taken
+    monkeypatch.setattr("lchoose.cli.run_bundle",
+                        lambda name, **_: {"bundle": name, "ok": False, **extra})
+    try:
+        got = main(["verify", "tuple-audit"])
+    except SystemExit as exc:
+        got = exc.code
+    captured = capsys.readouterr()
+    assert got == code
+    assert json.loads(captured.out) == {"schema": "lchoose/1", "command": "verify",
+                                        "bundle": "tuple-audit", "ok": False, **extra}
+    assert captured.err.strip() == summary
+
+
 def test_usage_errors(capsys):
     code, _ = run(capsys, ["phi", "-l", "0,2"])
     assert code == 3  # quotas must be positive

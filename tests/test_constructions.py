@@ -68,6 +68,10 @@ def test_gadget_rejects_bad_multiplicities():
         build_gadget(0, 1, 1)
     with pytest.raises(ValueError):
         build_gadget(-1, 0, 1)
+    with pytest.raises(ValueError, match="negative multiplicities"):
+        build_gadget(1, -1, 1)
+    with pytest.raises(ValueError, match="negative multiplicities"):
+        build_gadget(-1, 0, 1, allow_zero_ones=True)
     # degenerate shape is constructible when asked for, but not certified
     inst = build_gadget(0, 0, 1, allow_zero_ones=True)
     assert inst.lam.parts == (3,)
@@ -85,6 +89,38 @@ def test_verify_gadget_catches_sabotage():
     small = dataclasses.replace(inst, graph=MultipartiteGraph((5, 5, 2)))
     with pytest.raises(StructureError):
         verify_gadget(small)
+
+
+def _first_list(inst, universe, mask):
+    """The gadget's lists over ``universe`` colours, vertex 0's replaced by ``mask``."""
+    return ListAssignment(universe, (mask, *inst.assignment.masks[1:]))
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (lambda inst: {"graph": MultipartiteGraph((5, 5, 3, 1))}, "part sizes are not"),
+    (lambda inst: {"assignment": _first_list(inst, 8, inst.assignment.masks[0] | 1 << 7)},
+     "universe size is not 2k-a"),
+    (lambda inst: {"assignment": _first_list(inst, 7, inst.assignment.masks[0] & ~1)},
+     "list at vertex 0 does not have k colours"),
+    (lambda inst: {"partition": ColourPartition(inst.lam, (0, 0, 1, 1, 1, 1, 1))},
+     "class 0 has 2 colours, expected 1"),
+    (lambda inst: {"partition": ColourPartition(inst.lam, (1, 0, 1, 1, 1, 1, 1))},
+     "vertex 3 holds 0 colours of class 0, quota is 1"),
+])
+def test_verify_gadget_names_the_broken_invariant(tamper, message):
+    # build_gadget(1, 0, 1): lambda (1,3), parts 5,5,2,2, 7 colours, class 0 is colour 0
+    inst = build_gadget(1, 0, 1)
+    assert inst.partition.class_of == (0, 1, 1, 1, 1, 1, 1)
+    with pytest.raises(StructureError, match=message):
+        verify_gadget(dataclasses.replace(inst, **tamper(inst)))
+
+
+def test_verify_gadget_requires_a_quota_partition(monkeypatch):
+    # the partition checks above imply a witness, so only a search that
+    # finds none can reach this report
+    monkeypatch.setattr("lchoose.constructions.is_lambda_assignment", lambda *_: None)
+    with pytest.raises(StructureError, match="admits no quota partition"):
+        verify_gadget(build_gadget(1, 0, 1))
 
 
 def test_constructed_instances_pinned():
@@ -168,6 +204,10 @@ def test_threes_candidate_validation():
         ThreesBadCandidate(4, (base, base, (0,) * 6), ((1 << 4) - 1,))
     with pytest.raises(ValueError):
         ThreesBadCandidate(4, (base, base, base), (0b111,))
+    with pytest.raises(ValueError, match="must pick a local vertex per colour"):
+        ThreesBadCandidate(4, (base, base, base[:-1] + (3,)), ((1 << 4) - 1,))
+    with pytest.raises(ValueError, match="need one list per singleton part"):
+        ThreesBadCandidate(4, (base, base, base), ())
 
 
 def test_threes_candidates_always_bad():

@@ -25,6 +25,8 @@ def test_from_text():
         MultipartiteGraph.from_text("")
     with pytest.raises(ValueError):
         MultipartiteGraph.from_text("3,0")
+    with pytest.raises(ValueError, match="at least one part"):
+        MultipartiteGraph(())
 
 
 def test_parts_and_adjacency():

@@ -108,6 +108,11 @@ def test_order_relation_basics():
     # reflexive on both
     for lam in (two, ones, Lambda((1, 2, 4))):
         assert refines(lam, lam) and precedes(lam, lam)
+    # the bitmask search refuses more than 16 parts rather than build 2^17 sums
+    with pytest.raises(ValueError, match="too large for the exhaustive order check"):
+        refines(Lambda((1,) * 17), Lambda((17,)))
+    with pytest.raises(ValueError, match="too large for the exhaustive order check"):
+        precedes(Lambda((2,)), Lambda((1,) * 17))
 
 
 def test_precedes_allows_spare_parts():

@@ -120,6 +120,15 @@ def test_is_choosable_matches_brute_force():
                     assert v.universe_bound == G.n * lam.total
 
 
+def test_is_choosable_refuses_a_counterexample_that_colours(monkeypatch):
+    # K(4,2) is not (2)-choosable; a re-check that finds a colouring for the
+    # walk's counterexample must stop the run, not report either verdict
+    assert is_choosable(MultipartiteGraph((4, 2)), Lambda((2,))).status == NOT_CHOOSABLE
+    monkeypatch.setattr(solver, "find_colouring", lambda graph, la: object())
+    with pytest.raises(RuntimeError, match="enumerator yielded a colourable assignment"):
+        is_choosable(MultipartiteGraph((4, 2)), Lambda((2,)))
+
+
 def test_oversized_shapes_peel_whole_parts_as_vertices_peel(monkeypatch):
     # with every shape refused for its group, a verdict comes from the part
     # peel alone: CHOOSABLE iff the plain-loop vertex peel empties V, that is
