@@ -271,12 +271,8 @@ def test_verify_exit_codes_of_a_failed_bundle(capsys, monkeypatch, extra, code, 
     # a stub bundle result, so no walk count decides which path is taken
     monkeypatch.setattr("lchoose.cli.run_bundle",
                         lambda name, **_: {"bundle": name, "ok": False, **extra})
-    try:
-        got = main(["verify", "tuple-audit"])
-    except SystemExit as exc:
-        got = exc.code
+    assert main(["verify", "tuple-audit"]) == code
     captured = capsys.readouterr()
-    assert got == code
     assert json.loads(captured.out) == {"schema": "lchoose/1", "command": "verify",
                                         "bundle": "tuple-audit", "ok": False, **extra}
     assert captured.err.strip() == summary
