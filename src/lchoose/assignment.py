@@ -147,7 +147,14 @@ def _check_quotas(
 def _transpose(rows, width: int) -> list[int]:
     """Per bit j < width, the rows holding it as a mask over row indices: list
     masks to colour types (the vertices whose lists hold each colour), and back."""
-    return [sum(1 << i for i, r in enumerate(rows) if r >> j & 1) for j in range(width)]
+    out, keep = [0] * width, (1 << width) - 1
+    for i, r in enumerate(rows):
+        bit, r = 1 << i, r & keep
+        while r:
+            low = r & -r
+            out[low.bit_length() - 1] |= bit
+            r ^= low
+    return out
 
 
 def _parity_blocked(masks: tuple[int, ...], lam: Lambda) -> bool:
@@ -162,6 +169,8 @@ def _parity_blocked(masks: tuple[int, ...], lam: Lambda) -> bool:
     """
     q = lam.size
     rhs = sum((k & 1) << i for i, k in enumerate(lam.parts))
+    if not rhs:
+        return False
     basis: dict[int, int] = {}  # pivot (top bit) -> reduced row
     for m in masks:
         if m.bit_count() == lam.total:
@@ -610,7 +619,7 @@ class AssignmentEnumerator:
                             break
                         lifted.append(p if t == s else cls + (t,))
                         continue
-                    b = tuple(sorted(img + (t,), reverse=True))
+                    b = img + (t,) if t <= img[-1] else tuple(sorted(img + (t,), reverse=True))
                     if b > p:
                         break
                     lifted.append(b)

@@ -6,13 +6,13 @@ colouring assigns each part a set of colours disjoint from every other
 part's set, with each vertex picking from its own list: each part in turn
 takes an inclusion-minimal cover of its lists.  A part with lists inside a
 colour set X needs one colour of X, or two if those lists share none
-(Hall's condition, deficiency form), so parts needing more than all the
-colours are refused at once.  A greedy pass then gives each part its first
-minimal cover inside the free colours: the lowest shared free colour if its
-lists share one (the one-colour covers are the shared colours, and no cover
-is smaller), else the first of its minimal covers there, built once per
-call.  If all get one, each left the later parts colourable.  A part with
-none hands those covers to one of two exact fallbacks.  Up to
+(Hall's condition, deficiency form).  One pass per part keeps the colours
+its lists share for two steps: parts needing more than all the colours are
+refused at once, and a greedy pass gives each part its lowest shared free
+colour (the shared colours are its one-colour covers, and no cover is
+smaller), else its first minimal cover inside the free colours, built once
+per call.  If all get one, each left the later parts colourable.  A part
+with none hands those covers to one of two exact fallbacks.  Up to
 ``_TABLE_COLOURS`` colours, tables: the subset DP of ``ColourableSets`` run
 over the 2**u colour sets (Bjorklund, Husfeldt & Koivisto, SIAM J. Comput.
 2009), each family one 2**u-bit integer.  ``ok[i]``, the free sets from
@@ -143,28 +143,31 @@ def find_colouring(graph: MultipartiteGraph, assignment: ListAssignment) -> Colo
     Deterministic: parts are taken largest first, as the graph sorts them,
     and each takes its first minimal cover in (size, value) order that leaves
     the later parts colourable; each vertex takes its least colour in the
-    cover.  The greedy pass gives each part its first minimal cover inside
-    the free colours; if every part gets one, each left the later parts
-    colourable, so this is that colouring.  A part with none hands the
-    covers built so far to one fallback, chosen by the universe size, and
-    both find the colouring: the search's colour count cuts only failing
-    subtrees, and a search subtree succeeds exactly when its free colours
-    lie in the table of the parts after it.
+    cover.  One pass per part keeps its lists' shared colours for the
+    refusal and the greedy pass, which gives each part its first minimal
+    cover inside the free colours; if all get one, each left the later parts
+    colourable.  A part with none hands the covers built so far to one of
+    two fallbacks, by universe size; both find the colouring: the search's
+    colour count cuts only failing subtrees, and a search subtree succeeds
+    exactly when its free colours lie in the table of the parts after it.
     """
-    if assignment.n != graph.n:
+    if assignment.n != graph.parts[-1].stop:
         raise ValueError("assignment and graph disagree on the vertex count")
     u = assignment.universe_size
-    lists = [assignment.masks[part.start:part.stop] for part in graph.parts]
-    if _colours_needed(lists, (1 << u) - 1) > u:
+    lists, commons = [], []  # per part: its lists, and the colours they share
+    for part in graph.parts:
+        lists.append(masks := assignment.masks[part.start:part.stop])
+        common = -1
+        for m in masks:
+            common &= m
+        commons.append(common)
+    if _root_need(commons) > u:
         return None
     tables = u <= _TABLE_COLOURS
     covers: dict[tuple[int, ...], list[int]] = {}  # per part's lists, uncut
     free, chosen = (1 << u) - 1, []
-    for masks in lists:
-        shared = free
-        for m in masks:
-            shared &= m
-        if shared:  # the one-colour covers are the shared colours, and come first
+    for masks, common in zip(lists, commons):
+        if shared := common & free:  # the one-colour covers are the shared colours, and come first
             x = shared & -shared
         else:
             if masks not in covers:
@@ -176,11 +179,19 @@ def find_colouring(graph: MultipartiteGraph, assignment: ListAssignment) -> Colo
     return _paint(lists, chosen)
 
 
+def _root_need(commons: list[int]) -> int:
+    """``_colours_needed`` over all colours, from each part's shared colours."""
+    return len(commons) + commons.count(0)
+
+
 def _paint(lists: list[tuple[int, ...]], chosen: list[int]) -> Colouring:
     """Each vertex takes its least colour in its part's cover; parts hold
-    consecutive vertices, so their lists concatenate in vertex order."""
-    return Colouring(tuple([((pick := m & cover) & -pick).bit_length() - 1
-                            for masks, cover in zip(lists, chosen) for m in masks]))
+    consecutive vertices, so the one pass's part lists join in vertex order."""
+    colour_of = []
+    for masks, cover in zip(lists, chosen):
+        for m in masks:
+            colour_of.append(((pick := m & cover) & -pick).bit_length() - 1)
+    return Colouring(tuple(colour_of))
 
 
 def _cover_search(lists: list[tuple[int, ...]], covers: dict, u: int) -> Colouring | None:

@@ -16,7 +16,6 @@ from lchoose.assignment import (
     ListAssignment,
     _check_group,
     _generators,
-    _transpose,
     canonical_key,
     quota_counts,
     vertex_group,
@@ -328,6 +327,11 @@ def naive_witness_exists(assignment: ListAssignment, lam: Lambda) -> bool:
     return False
 
 
+def reference_transpose(rows, width: int) -> list[int]:
+    """Per bit j < width, the mask of the rows holding it, bit by bit."""
+    return [sum(1 << i for i, r in enumerate(rows) if r >> j & 1) for j in range(width)]
+
+
 def reference_witness(assignment: ListAssignment, lam: Lambda) -> ColourPartition | None:
     """``is_lambda_assignment`` as it was before colours of one type were
     made interchangeable: the same search over labelled class sequences, with
@@ -336,7 +340,7 @@ def reference_witness(assignment: ListAssignment, lam: Lambda) -> ColourPartitio
     ks = lam.parts
     n = assignment.n
     universe = assignment.universe_size
-    types = _transpose(assignment.masks, universe)
+    types = reference_transpose(assignment.masks, universe)
     order = sorted(range(universe), key=lambda c: (-types[c].bit_count(), c))
     full = (1 << n) - 1
     # bit 0 of every layer: lam.total layers for the counters, universe for supply

@@ -6,6 +6,7 @@ from lchoose.assignment import (
     AssignmentEnumerator,
     ColourPartition,
     ListAssignment,
+    _transpose,
     assignment_from_dict,
     assignment_to_dict,
     canonical_key,
@@ -27,6 +28,7 @@ from helpers import (
     random_blocks,
     reference_canonical_blocks,
     reference_peaks,
+    reference_transpose,
     reference_trim_to_exact,
     reference_vertex_group,
     reference_witness,
@@ -252,6 +254,17 @@ def _tight_cases():
         for _ in range(2):
             la = random_threes_candidate(k, rng).assignment
             yield from ((la, Lambda(parts)) for parts in odd + even)
+
+
+def test_transpose_matches_the_reference():
+    # widths below, at and past the rows' top bit: bits at or above the
+    # width are dropped, and bits past the top one give empty masks
+    rng = random.Random(29)
+    for _ in range(500):
+        rows = [rng.getrandbits(rng.randint(0, 24)) for _ in range(rng.randint(0, 22))]
+        top = max((r.bit_length() for r in rows), default=0)
+        for width in {0, rng.randint(0, top), top, top + rng.randint(1, 5)}:
+            assert _transpose(rows, width) == reference_transpose(rows, width)
 
 
 def test_parity_bound_keeps_every_witness(monkeypatch):

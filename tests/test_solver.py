@@ -442,7 +442,7 @@ def test_greedy_pass_gives_the_frozen_tables_colouring(monkeypatch):
     # keeps the covers the tables' forward pass keeps; a stuck one must fall
     # back to the tables, whether the lists are colourable or not; the root
     # colour count is turned off, so lists it would refuse reach the tables
-    monkeypatch.setattr(solver, "_colours_needed", lambda lists, x: 0)
+    monkeypatch.setattr(solver, "_root_need", lambda commons: 0)
     fallbacks = []
     ok_search = solver._ok_search
 
@@ -465,6 +465,27 @@ def test_greedy_pass_gives_the_frozen_tables_colouring(monkeypatch):
             greedy += 1
     coloured = sum(fallbacks)
     assert greedy > 5000 and coloured > 400 and len(fallbacks) - coloured > 3000
+
+
+def test_root_refusal_is_the_all_colours_count(monkeypatch):
+    # the front counts colours from each part's shared colours; it must
+    # refuse, before any fallback, exactly the lists whose Hall count over
+    # all colours exceeds the universe
+    fallbacks = []
+    for name in ("_ok_search", "_cover_search"):
+        def counted(*args, search=getattr(solver, name)):
+            fallbacks.append(search)
+            return search(*args)
+
+        monkeypatch.setattr(solver, name, counted)
+    refused = 0
+    for graph, la in chain(colouring_random_corpus(seed=777), _pinned_colouring_cases()):
+        u, stuck = la.universe_size, len(fallbacks)
+        want = solver._colours_needed(_part_lists(graph, la), (1 << u) - 1) > u
+        got = find_colouring(graph, la) is None and len(fallbacks) == stuck
+        assert got == want, (graph, la)
+        refused += want
+    assert refused > 3000 and len(fallbacks) > 1000
 
 
 def test_a_part_with_a_thousand_colour_cover_is_coloured():
