@@ -16,7 +16,9 @@ Symmetries quotiented out by ``canonical_key`` and the enumerator:
 colours in non-decreasing classes, which leaves its first witness in place.
 Before it searches, it refutes by parity: a witness meets every list of exactly
 ``lam.total`` colours in exactly ``k_i`` colours of class i, a linear system
-over GF(2) per class, and an inconsistent one leaves no witness to find.
+over GF(2) per class, and an inconsistent one leaves no witness to find.  The
+same exactness cuts inside the search: once a vertex with such a list owes
+class i nothing, no later colour of its list may join class i.
 The enumerator yields only orbit maxima, and cuts a class prefix p as soon as
 a generator g of the vertex group gives ``sorted(g(p), reverse=True) > p``:
 every class holding p then has a larger image too, so no maximum lies below.
@@ -184,6 +186,22 @@ def _parity_blocked(masks: tuple[int, ...], lam: Lambda) -> bool:
     return False
 
 
+def _class_short(kinds: list[int], start: int, closed: int, owed: int, n: int,
+                 layers: int) -> bool:
+    """Does a vertex owe one class more colours than the types ``kinds[start:]``
+    can still give it?  ``owed`` holds the class's packed counters, and a
+    colour whose type meets ``closed`` may not join the class.  The supply is
+    packed on the bit-0 ``layers`` of the counters and is built only until it
+    covers ``owed``."""
+    have = 0
+    for t in kinds[start:]:
+        if not t & closed:
+            have |= (have << n | t) & t * layers
+            if not owed & ~have:
+                return False
+    return bool(owed & ~have)
+
+
 def is_lambda_assignment(assignment: ListAssignment, lam: Lambda) -> ColourPartition | None:
     """Search for a partition of the universe witnessing the quotas.
 
@@ -194,13 +212,19 @@ def is_lambda_assignment(assignment: ListAssignment, lam: Lambda) -> ColourParti
     exists.  Each node gets its state from its parent as packed counters (see
     the module note): ``owed[i]`` counts the class-i colours each vertex still
     needs and ``need`` their sum, while ``supply[pos]``, built once, counts
-    each list's colours at ``order[pos:]``.  The search prunes with one bit
-    test, ``need & ~supply[pos]``: some vertex needs more colours than it has
+    each list's colours at ``order[pos:]``.  The search prunes with the bit
+    test ``need & ~supply[pos]``: some vertex needs more colours than it has
     left.  Before any of this is built, ``_parity_blocked`` may refute the
-    quotas: a list of exactly ``lam.total`` colours meets a witness in exactly
-    ``k_i`` colours of class i, so an inconsistent GF(2) system on those lists
-    leaves nothing to find.  It refutes only what the search would, so every
-    witness is unchanged.
+    quotas: a list of exactly ``lam.total`` colours (a *tight* list) meets a
+    witness in exactly ``k_i`` colours of class i, so an inconsistent GF(2)
+    system on those lists leaves nothing to find.  The same fact gives a
+    second, per-class cut: once a tight vertex owes class i nothing, no later
+    colour of a type holding it can join class i.  So when a colour placed in
+    class i pays some tight vertex's last class-i colour (the only event that
+    closes class i on more vertices), ``_class_short`` counts the class-i
+    supply of the later colours whose types meet no closed vertex, and the
+    branch is cut when some vertex owes class i more than that.  Both refute
+    only branches that hold no witness, so the first witness is unchanged.
     Empty classes of equal quota are interchangeable, and quotas ascend, so
     class i is tried only once class i-1 of the same quota is in use.  Colours
     of one type are interchangeable too, so none takes a class below the one
@@ -215,26 +239,28 @@ def is_lambda_assignment(assignment: ListAssignment, lam: Lambda) -> ColourParti
     universe = assignment.universe_size
     types = _transpose(assignment.masks, universe)
     order = sorted(range(universe), key=lambda c: (-types[c].bit_count(), c))
+    kinds = [types[c] for c in order]  # the types in search order
+    tight = sum(1 << v for v, m in enumerate(assignment.masks) if m.bit_count() == lam.total)
     full = (1 << n) - 1
     # bit 0 of every layer: lam.total layers for the counters, universe for supply
     layers = ((1 << lam.total * n) - 1) // full
     wide = ((1 << universe * n) - 1) // full
     supply = [0]
-    for c in reversed(order):  # one more colour for every vertex of its type
-        supply.append(supply[-1] | (supply[-1] << n | types[c]) & types[c] * wide)
+    for t in reversed(kinds):  # one more colour for every vertex of its type
+        supply.append(supply[-1] | (supply[-1] << n | t) & t * wide)
     supply.reverse()
     # path[1:pos + 1] holds the branch's classes of order[:pos] and path[0] a class-0
     # sentinel; mate[pos] indexes the previous colour of the same type, or the sentinel
     path = [0] * (universe + 1)
     mate, last = [], {}
-    for pos, c in enumerate(order):
-        mate.append(last.get(types[c], 0))
-        last[types[c]] = pos + 1
+    for pos, t in enumerate(kinds):
+        mate.append(last.get(t, 0))
+        last[t] = pos + 1
 
     def rec(pos, owed, need, used):
         if pos == universe:
             return path[1:]
-        s = types[order[pos]]
+        s = kinds[pos]
         have = supply[pos + 1]
         for i in range(path[mate[pos]], len(ks)):
             if i and ks[i] == ks[i - 1] and not used >> i - 1 & 1:
@@ -243,7 +269,12 @@ def is_lambda_assignment(assignment: ListAssignment, lam: Lambda) -> ColourParti
             left = need & ~paid | need >> n & paid
             if left & ~have:
                 continue
-            nxt = owed[:i] + (owed[i] & ~paid | owed[i] >> n & paid,) + owed[i + 1:]
+            owe = owed[i] & ~paid | owed[i] >> n & paid
+            # s paid some tight vertex's last class-i colour: class i closes on it
+            if s & tight & owed[i] & ~(owed[i] >> n) and _class_short(
+                    kinds, pos + 1, tight & ~owe, owe, n, layers):
+                continue
+            nxt = owed[:i] + (owe,) + owed[i + 1:]
             path[pos + 1] = i
             rest = rec(pos + 1, nxt, left, used | 1 << i)
             if rest is not None:

@@ -282,7 +282,16 @@ def _first_use(row: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(names.setdefault(x, len(names)) for x in row)
 
 
-def _miss_normal_form(rows: tuple[tuple[int, ...], ...], half: int) -> tuple[tuple[int, ...], ...]:
+class _FirstUses(dict):
+    """Row -> ``_first_use(row)``, each computed on its first lookup."""
+
+    def __missing__(self, row: tuple[int, ...]) -> tuple[int, ...]:
+        self[row] = form = _first_use(row)
+        return form
+
+
+def _miss_normal_form(rows: tuple[tuple[int, ...], ...], half: int,
+                      first_use=_first_use) -> tuple[tuple[int, ...], ...]:
     """A representative of the unpinned miss vectors ``rows`` under cheap symmetries.
 
     Renames each row's symbols in order of first appearance, sorts the
@@ -293,10 +302,12 @@ def _miss_normal_form(rows: tuple[tuple[int, ...], ...], half: int) -> tuple[tup
     on which the pinned base row is constant and of which the singleton lists
     are the union of blocks 0 and 1; a row sort swaps unpinned triple parts.
     Equal normal forms therefore mean one orbit; unequal ones may not.
+    ``first_use`` computes the renaming; an enumeration passes the lookup of
+    its own ``_FirstUses``, since its rows repeat.
     """
-    cols = list(zip(*map(_first_use, rows)))
+    cols = list(zip(*map(first_use, rows)))
     cols = [c for b in range(0, 3 * half, half) for c in sorted(cols[b:b + half])]
-    return tuple(sorted(map(_first_use, zip(*cols))))
+    return tuple(sorted(map(first_use, zip(*cols))))
 
 
 class ThreesFamilyEnumerator:
@@ -307,7 +318,8 @@ class ThreesFamilyEnumerator:
     rows run over all balanced vectors.  Each row tuple first goes through
     ``_miss_normal_form``, a few group elements that fix the base row and the
     singleton lists; a tuple whose normal form was seen before lies in the
-    orbit of an earlier tuple and is skipped without a canonical key.  The
+    orbit of an earlier tuple and is skipped without a canonical key; the
+    rows repeat, so each enumeration renames each distinct row once.  The
     others get a full ``canonical_key``, and a candidate is yielded when that
     key is new; all keys are on one shape, so ``assignment`` builds each
     type's lane data once.  The first tuple of every orbit in iteration
@@ -339,13 +351,14 @@ class ThreesFamilyEnumerator:
         singles = tuple([singleton] * (half - 1))
         lam = Lambda((k,))
         seen_forms: set[tuple] = set()
+        first_use = _FirstUses().__getitem__
         seen: set[bytes] = set()
         partition = ColourPartition(lam, (0,) * u)
         vecs = list(_balanced_vectors(u, half))
         for rows in product(vecs, repeat=half):
             if not self.budget.tick():
                 return
-            form = _miss_normal_form(rows, half)
+            form = _miss_normal_form(rows, half, first_use)
             if form in seen_forms:
                 continue
             seen_forms.add(form)

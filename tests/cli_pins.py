@@ -31,7 +31,8 @@ K1000 = {"universe": 1000, "lists": [list(range(1000))] * 1000}
 U17 = {"universe": 17, "lists": [[1, 10, 12], [4, 9, 12, 13], [2, 3, 7, 9], [0, 3, 15],
                                  [6, 8, 13, 14], [4, 5, 11, 16], [4, 7], [7, 12]]}
 SWEEP = ("assignment.walk.nodes", "assignment.walk.orbits", "assignment.canonical.leaf_checks")
-FAMILIES = ("assignment.canonical_key.calls", "constructions.threes_enum.rows")
+FAMILIES = ("assignment.canonical_key.calls", "constructions.threes_enum.rows",
+            "assignment.is_lambda_assignment.calls", "constructions.parity_obstruction_check.calls")
 
 
 def _gen(name: str) -> list[str]:
@@ -125,8 +126,8 @@ ROWS = [
     ([*BENCH, "solve", "--trace", "0"], {}, None, 0, _counts(), [True]),
     ([*BENCH, "families", "--trace", "0"], {}, None, 0, _counts(), [True]),
     # traced workloads, twice each: the second run also compares its counts with the first
-    ([*BENCH, "families", "--trace", "1"], {}, None, 0, _counts(*FAMILIES), [True, 20, 200]),
-    ([*BENCH, "families", "--trace", "1"], {}, None, 0, _counts(*FAMILIES), [True, 20, 200]),
+    ([*BENCH, "families", "--trace", "1"], {}, None, 0, _counts(*FAMILIES), [True, 20, 200, 141, 228]),
+    ([*BENCH, "families", "--trace", "1"], {}, None, 0, _counts(*FAMILIES), [True, 20, 200, 141, 228]),
     ([*BENCH, "sweep", "--trace", "1"], {}, None, 0, _counts(*SWEEP), [True, 1588, 307, 347]),
     ([*BENCH, "sweep", "--trace", "1"], {}, None, 0, _counts(*SWEEP), [True, 1588, 307, 347]),
     ([*BENCH, "solve", "--trace", "1"], {}, None, 0, _colourable_calls, [True, 10022, 6494, 0.64797]),

@@ -288,6 +288,72 @@ def test_parity_bound_keeps_every_witness(monkeypatch):
     assert checked >= 1000 and sum(fired) >= 75
 
 
+def test_witness_search_matches_the_reference_on_the_k42_family():
+    # the even quotas always have a witness here, and their searches are the
+    # ones the class cut shortens most: (2,2,2,4) on (4,1,5) walks 21 nodes
+    from lchoose.bundles import k42_block_sizes
+    from lchoose.constructions import build_bad_k42
+
+    got = 0
+    for k, quotas in ((6, ((2, 4), (2, 2, 2))), (8, ((2, 6), (2, 2, 4))),
+                      (10, ((4, 6), (2, 2, 2, 4)))):
+        for sizes in k42_block_sizes(k):
+            _, la = build_bad_k42(k, sizes)
+            for parts in quotas:
+                lam = Lambda(parts)
+                want = reference_witness(la, lam)
+                assert want is not None
+                assert is_lambda_assignment(la, lam).class_of == want.class_of, (k, sizes, parts)
+                got += 1
+    assert got == 30
+
+
+def _closing_cases():
+    """Seeded lists on 3 to 7 vertices over ``lam.total`` to ``lam.total + 3``
+    colours, each of exactly ``lam.total`` colours or, one time in four, one
+    or two colours wider.  Even quotas are among them, so the parity bound
+    leaves many to the search."""
+    rng = random.Random(3303)
+    quotas = ((2, 2), (1, 1), (1, 2), (2, 4), (2, 2, 2), (1, 1, 2), (1, 2, 2), (3, 3),
+              (1, 1, 1, 1), (1, 3), (2, 3), (1, 1, 1, 2))
+    for _ in range(2100):
+        lam = Lambda(rng.choice(quotas))
+        universe = rng.randint(lam.total, lam.total + 3)
+        lists = []
+        for _ in range(rng.randint(3, 7)):
+            size = lam.total + (rng.randint(1, 2) if rng.random() < 0.25 else 0)
+            lists.append(rng.sample(range(universe), min(size, universe)))
+        live = sorted({c for lst in lists for c in lst})
+        yield ListAssignment.from_lists(len(live), [[live.index(c) for c in lst]
+                                                    for lst in lists]), lam
+
+
+def test_class_cut_keeps_the_first_witness(monkeypatch):
+    # once a tight list owes a class nothing, no later colour of its type may
+    # join that class; the cut this gives may remove only branches without a
+    # witness, so the first witness and existence stay as they were
+    import lchoose.assignment as assignment
+
+    fired = []
+    short = assignment._class_short
+    monkeypatch.setattr(assignment, "_class_short",
+                        lambda *args: fired.append(short(*args)) or fired[-1])
+    got = found = 0
+    for la, lam in _closing_cases():
+        before = len(fired)
+        want = reference_witness(la, lam)
+        w = is_lambda_assignment(la, lam)
+        assert (w and w.class_of) == (want and want.class_of), (la, lam)
+        if la.universe_size <= 7 and any(fired[before:]):
+            assert (w is not None) == naive_witness_exists(la, lam), (la, lam)
+        got += 1
+        found += w is not None
+    # it must fire often, on searches that end either way, or the agreement
+    # above says nothing
+    assert got == 2100 and 300 < found < got
+    assert sum(fired) >= 1000
+
+
 def test_trim_to_exact_properties():
     rng = random.Random(77)
     from helpers import naive_colouring_exists

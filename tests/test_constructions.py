@@ -21,6 +21,7 @@ from lchoose.constructions import (
     StructureError,
     ThreesBadCandidate,
     ThreesFamilyEnumerator,
+    _FirstUses,
     _miss_normal_form,
     _odd_triple,
     build_bad_k42,
@@ -295,6 +296,18 @@ def test_miss_normal_form_stays_in_the_orbit(k, count):
     for _ in range(count):
         rows = tuple(tuple(rng.sample([0, 1, 2] * half, 3 * half)) for _ in range(half))
         assert key(_miss_normal_form(rows, half)) == key(rows)
+
+
+def test_first_use_cache_gives_the_same_normal_forms():
+    # one cache across many tuples, as an enumeration keeps it: every row
+    # and every column-sorted row maps to its own renaming
+    rng = random.Random(46)
+    for k in (4, 6):
+        half = k // 2
+        first_use = _FirstUses().__getitem__
+        for _ in range(300):
+            rows = tuple(tuple(rng.sample([0, 1, 2] * half, 3 * half)) for _ in range(half))
+            assert _miss_normal_form(rows, half, first_use) == _miss_normal_form(rows, half)
 
 
 def test_threes_enumerator_k6_pinned():
