@@ -211,8 +211,9 @@ def is_lambda_assignment(assignment: ListAssignment, lam: Lambda) -> ColourParti
     vertices first, each tried in classes 0, 1, ...), or None when no witness
     exists.  Each node gets its state from its parent as packed counters (see
     the module note): ``owed[i]`` counts the class-i colours each vertex still
-    needs and ``need`` their sum, while ``supply[pos]``, built once, counts
-    each list's colours at ``order[pos:]``.  The search prunes with the bit
+    needs and ``need`` their sum, while ``supply[pos]``, built once on the
+    same layers, counts each list's colours at ``order[pos:]``, saturating at
+    ``lam.total`` since no vertex needs more.  The search prunes with the bit
     test ``need & ~supply[pos]``: some vertex needs more colours than it has
     left.  Before any of this is built, ``_parity_blocked`` may refute the
     quotas: a list of exactly ``lam.total`` colours (a *tight* list) meets a
@@ -242,12 +243,12 @@ def is_lambda_assignment(assignment: ListAssignment, lam: Lambda) -> ColourParti
     kinds = [types[c] for c in order]  # the types in search order
     tight = sum(1 << v for v, m in enumerate(assignment.masks) if m.bit_count() == lam.total)
     full = (1 << n) - 1
-    # bit 0 of every layer: lam.total layers for the counters, universe for supply
+    # bit 0 of each of the counters' lam.total layers; supply shares them and
+    # so saturates at lam.total, all that any vertex can need
     layers = ((1 << lam.total * n) - 1) // full
-    wide = ((1 << universe * n) - 1) // full
     supply = [0]
     for t in reversed(kinds):  # one more colour for every vertex of its type
-        supply.append(supply[-1] | (supply[-1] << n | t) & t * wide)
+        supply.append(supply[-1] | (supply[-1] << n | t) & t * layers)
     supply.reverse()
     # path[1:pos + 1] holds the branch's classes of order[:pos] and path[0] a class-0
     # sentinel; mate[pos] indexes the previous colour of the same type, or the sentinel

@@ -19,7 +19,7 @@ from .budget import Budget
 from .bundles import BUNDLES, run_bundle
 from .constructions import ThreesFamilyEnumerator, build_bad_k42, build_gadget
 from .graphs import MultipartiteGraph
-from .lam import Lambda, integers
+from .lam import Lambda, integers, phi_bounds, phi_exact
 from .search import phi_search
 from .solver import CHOOSABLE, INCONCLUSIVE, NOT_CHOOSABLE, find_colouring, is_choosable
 
@@ -90,8 +90,6 @@ def _cmd_phi(args) -> int:
         print(f"phi({_quotas(lam)}) is infinite: the all-singletons quota refutes nothing",
               file=sys.stderr)
         return 0
-    from .lam import phi_bounds, phi_exact
-
     lo, hi = phi_bounds(lam)
     exact = phi_exact(lam)
     payload.update(phi=exact, bounds=[lo, hi])

@@ -10,6 +10,7 @@ over a universe of 2k-a colours.  Its structure is rigid enough that
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, product
 
 from .assignment import (
@@ -282,14 +283,6 @@ def _first_use(row: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(names.setdefault(x, len(names)) for x in row)
 
 
-class _FirstUses(dict):
-    """Row -> ``_first_use(row)``, each computed on its first lookup."""
-
-    def __missing__(self, row: tuple[int, ...]) -> tuple[int, ...]:
-        self[row] = form = _first_use(row)
-        return form
-
-
 def _miss_normal_form(rows: tuple[tuple[int, ...], ...], half: int,
                       first_use=_first_use) -> tuple[tuple[int, ...], ...]:
     """A representative of the unpinned miss vectors ``rows`` under cheap symmetries.
@@ -302,8 +295,8 @@ def _miss_normal_form(rows: tuple[tuple[int, ...], ...], half: int,
     on which the pinned base row is constant and of which the singleton lists
     are the union of blocks 0 and 1; a row sort swaps unpinned triple parts.
     Equal normal forms therefore mean one orbit; unequal ones may not.
-    ``first_use`` computes the renaming; an enumeration passes the lookup of
-    its own ``_FirstUses``, since its rows repeat.
+    ``first_use`` computes the renaming; an enumeration passes its own
+    ``functools.cache`` of ``_first_use``, since its rows repeat.
     """
     cols = list(zip(*map(first_use, rows)))
     cols = [c for b in range(0, 3 * half, half) for c in sorted(cols[b:b + half])]
@@ -351,7 +344,7 @@ class ThreesFamilyEnumerator:
         singles = tuple([singleton] * (half - 1))
         lam = Lambda((k,))
         seen_forms: set[tuple] = set()
-        first_use = _FirstUses().__getitem__
+        first_use = cache(_first_use)
         seen: set[bytes] = set()
         partition = ColourPartition(lam, (0,) * u)
         vecs = list(_balanced_vectors(u, half))

@@ -186,17 +186,16 @@ def peel_recipes(
         if cand is not None and (n4 is None or cand[0][3] <= n4):
             push(_window_recipe(cand[0], t, cand[1]))
 
+    # for odd t >= 3: rest >= t + 1 - 4 >= 0, and d2 + d3 + a4 <= 2 + (t + 2) // 3 <= t
     for excess in (t + 1, t + 2):
         for d2, d3 in ((0, 0), (1, 0), (2, 0), (0, 1), (0, 2)):
             if d2 > n2 or d3 > n3:
                 continue
             rest = excess - d2 - 2 * d3
-            if rest < 0 or rest % 3:
+            if rest % 3:
                 continue
             a4 = rest // 3
             if n4 is not None and a4 > n4:
-                continue
-            if d2 + d3 + a4 > t:
                 continue
             push(_window_recipe((t - d2 - d3 - a4, d2, d3, a4), t, "lean"))
     return out

@@ -10,6 +10,7 @@ the first count carrying a counterexample.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .budget import Budget
 from .graphs import MultipartiteGraph, part_vectors
@@ -26,32 +27,25 @@ class CellResult:
         return {"parts": list(self.graph.part_sizes), **self.verdict.to_dict()}
 
 
-# a cell job: part sizes, quotas, and the cell's node and seconds budgets
-Job = tuple[tuple[int, ...], tuple[int, ...], int | None, float | None]
-
-
-def _sweep_jobs(lam: Lambda, levels, budget_nodes: int | None,
-                budget_seconds: float | None) -> list[Job]:
-    """Per vertex count in ``levels``, one job per shape with one part per unit of quota."""
-    return [(sizes, lam.parts, budget_nodes, budget_seconds)
-            for n in levels for sizes in part_vectors(n, lam.total)]
-
-
-def _cell_worker(job: Job) -> CellResult:
-    sizes, parts, budget_nodes, budget_seconds = job
+def _cell(parts: tuple[int, ...], budget_nodes: int | None, budget_seconds: float | None,
+          sizes: tuple[int, ...]) -> CellResult:
+    """Decide one shape for the quotas ``parts``, each cell on its own budget."""
     graph = MultipartiteGraph(sizes)
-    lam = Lambda(parts)
-    verdict = is_choosable(graph, lam, Budget(max_nodes=budget_nodes, max_seconds=budget_seconds))
-    return CellResult(graph, verdict)
+    budget = Budget(max_nodes=budget_nodes, max_seconds=budget_seconds)
+    return CellResult(graph, is_choosable(graph, Lambda(parts), budget))
 
 
-def _run_cells(jobs: list[Job], threads: int) -> list[CellResult]:
-    if threads <= 1 or len(jobs) <= 1:
-        return [_cell_worker(j) for j in jobs]
+def _run_cells(lam: Lambda, levels, threads: int, budget_nodes: int | None,
+               budget_seconds: float | None) -> list[CellResult]:
+    """Per vertex count in ``levels``, one cell per shape with one part per unit of quota."""
+    shapes = [sizes for n in levels for sizes in part_vectors(n, lam.total)]
+    cell = partial(_cell, lam.parts, budget_nodes, budget_seconds)
+    if threads <= 1 or len(shapes) <= 1:
+        return list(map(cell, shapes))
     from concurrent.futures import ProcessPoolExecutor  # so runs without a pool never load it
     # a forked pool starts every worker at once, wanted or not
-    with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
-        return list(pool.map(_cell_worker, jobs))
+    with ProcessPoolExecutor(max_workers=min(threads, len(shapes))) as pool:
+        return list(pool.map(cell, shapes))
 
 
 @dataclass(frozen=True)
@@ -107,7 +101,7 @@ def phi_search(
     cells: list[CellResult] = []
     clean = True  # no inconclusive cell seen so far
     for n in range(lam.total, n_max + 1):
-        level = _run_cells(_sweep_jobs(lam, [n], budget_nodes, budget_seconds), threads)
+        level = _run_cells(lam, [n], threads, budget_nodes, budget_seconds)
         cells.extend(level)
         if any(c.verdict.status == NOT_CHOOSABLE for c in level):
             return PhiSearchReport(lam, n_max, tuple(cells), n, clean)
@@ -156,6 +150,6 @@ def verify_choosable_below(
     if lam.is_trivial:
         return BelowReport(lam, n, (), True)
     # every level in one pool
-    cells = _run_cells(_sweep_jobs(lam, range(lam.total, n), budget_nodes, None), threads)
+    cells = _run_cells(lam, range(lam.total, n), threads, budget_nodes, None)
     ok = all(c.verdict.status == CHOOSABLE for c in cells)
     return BelowReport(lam, n, tuple(cells), ok)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import lchoose
 from lchoose.cli import build_parser, main
 
 
@@ -395,3 +400,14 @@ def test_summaries_spell_runs_of_equal_quotas(capsys):
     assert capsys.readouterr().err.startswith("phi(1*3,2,2,3) = ")
     assert main(["phi", "-l", "1*4"]) == 0
     assert capsys.readouterr().err.startswith("phi(1*4) is infinite")
+
+
+def test_importing_the_cli_loads_no_pool():
+    # only a sweep with threads > 1 imports a process pool; a fresh
+    # interpreter that imports the CLI must hold neither pool package
+    src = str(Path(lchoose.__file__).resolve().parents[1])
+    probe = ("import sys, lchoose.cli; print(sorted(m for m in sys.modules"
+             " if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.strip() == "[]"

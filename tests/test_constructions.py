@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 from collections import Counter
+from functools import cache
 from itertools import product
 
 import pytest
@@ -21,7 +22,7 @@ from lchoose.constructions import (
     StructureError,
     ThreesBadCandidate,
     ThreesFamilyEnumerator,
-    _FirstUses,
+    _first_use,
     _miss_normal_form,
     _odd_triple,
     build_bad_k42,
@@ -304,7 +305,7 @@ def test_first_use_cache_gives_the_same_normal_forms():
     rng = random.Random(46)
     for k in (4, 6):
         half = k // 2
-        first_use = _FirstUses().__getitem__
+        first_use = cache(_first_use)
         for _ in range(300):
             rows = tuple(tuple(rng.sample([0, 1, 2] * half, 3 * half)) for _ in range(half))
             assert _miss_normal_form(rows, half, first_use) == _miss_normal_form(rows, half)

@@ -134,6 +134,13 @@ def test_recipes_respect_quad_bound():
         for recs in (peel_recipes(7, 2, 1, n4=n4), peel_recipes(9, 0, 0, n4=n4)):
             for r in recs:
                 assert r.four_tuple.entries[3] <= n4
+    # past the brute-force oracle's reach: every recipe is a valid FourTuple
+    # (none has a negative count) inside its window, under its quad bound
+    for target in range(3, 100, 2):
+        for n2, n3, n4 in product(range(8), range(8), (None, 0, 1, 2, 3)):
+            for r in peel_recipes(target, n2, n3, n4=n4):
+                assert r.four_tuple.in_window(), (target, n2, n3, n4, r)
+                assert n4 is None or r.four_tuple.entries[3] <= n4
 
 
 def test_recipe_variants_cover_residues():
